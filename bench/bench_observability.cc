@@ -75,7 +75,7 @@ Database* GlobalDb() {
 }
 
 /// One statement through the full engine path but with zero telemetry: no
-/// metrics, no query log, no trace branch state — the pre-observability
+/// metrics, no query log, no operator timing — the pre-observability
 /// executive loop this PR's instrumentation is measured against.
 double RunBareOnce(Database* db) {
   Timer t;
@@ -334,7 +334,7 @@ BENCHMARK(BM_SelfMonitorOverhead)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(40);
 
-/// EXPLAIN ANALYZE end to end (trace build + render included).
+/// EXPLAIN ANALYZE end to end (operator timing + render included).
 void BM_ExplainAnalyze(benchmark::State& state) {
   Database* db = GlobalDb();
   std::string sql = std::string("EXPLAIN ANALYZE ") + kQuery;

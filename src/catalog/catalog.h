@@ -81,7 +81,7 @@ class Catalog {
 
   // --- System views ----------------------------------------------------------
   //
-  // Read-only virtual tables (aidb_metrics, aidb_query_log, aidb_trace, ...)
+  // Read-only virtual tables (aidb_metrics, aidb_query_log, aidb_spans, ...)
   // served through the normal scan path. They live OUTSIDE tables_ on
   // purpose: TableNames()/snapshots/state digests never see them, so views
   // whose contents depend on wall clock or execution history can never leak

@@ -1,6 +1,7 @@
 #include "exec/database.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -17,33 +18,27 @@ namespace aidb {
 
 namespace {
 
-/// Query-log `kind` strings (lowercase statement class).
-std::string StatementKindName(const sql::Statement& stmt) {
-  switch (stmt.kind()) {
-    case sql::StatementKind::kSelect: {
-      const auto& s = static_cast<const sql::SelectStatement&>(stmt);
-      if (s.explain_analyze) return "explain_analyze";
-      if (s.explain) return "explain";
-      return "select";
-    }
-    case sql::StatementKind::kCreateTable: return "create_table";
-    case sql::StatementKind::kDropTable: return "drop_table";
-    case sql::StatementKind::kCreateIndex: return "create_index";
-    case sql::StatementKind::kDropIndex: return "drop_index";
-    case sql::StatementKind::kInsert: return "insert";
-    case sql::StatementKind::kUpdate: return "update";
-    case sql::StatementKind::kDelete: return "delete";
-    case sql::StatementKind::kAnalyze: return "analyze";
-    case sql::StatementKind::kCreateModel: return "create_model";
-    case sql::StatementKind::kShowModels: return "show_models";
-    case sql::StatementKind::kPrepare: return "prepare";
-    case sql::StatementKind::kExecute: return "execute";
-    case sql::StatementKind::kDeallocate: return "deallocate";
-    case sql::StatementKind::kBegin: return "begin";
-    case sql::StatementKind::kCommit: return "commit";
-    case sql::StatementKind::kRollback: return "rollback";
+/// Query-log `kind` strings (lowercase statement class): sql::StatementKind
+/// order, then the two EXPLAIN variants of SELECT. A statement's slot here
+/// also indexes its exec.stmt.<kind> counter.
+constexpr std::array<const char*, 19> kStmtKindNames = {
+    "select",       "insert",      "create_table", "create_index",
+    "drop_index",   "update",      "delete",       "analyze",
+    "create_model", "show_models", "drop_table",   "prepare",
+    "execute",      "deallocate",  "begin",        "commit",
+    "rollback",     "explain",     "explain_analyze"};
+constexpr size_t kExplainSlot = 17;
+static_assert(static_cast<size_t>(sql::StatementKind::kRollback) + 1 ==
+                  kExplainSlot,
+              "kStmtKindNames follows sql::StatementKind order");
+
+size_t StatementKindSlot(const sql::Statement& stmt) {
+  if (stmt.kind() == sql::StatementKind::kSelect) {
+    const auto& s = static_cast<const sql::SelectStatement&>(stmt);
+    if (s.explain_analyze) return kExplainSlot + 1;
+    if (s.explain) return kExplainSlot;
   }
-  return "unknown";
+  return static_cast<size_t>(stmt.kind());
 }
 
 /// Recursively checks an expression tree for PREDICT calls (whose bound
@@ -86,23 +81,24 @@ std::string HexDigest(uint64_t digest) {
   return buf;
 }
 
-/// Mirrors a harvested trace tree into the span ring (`op:<Name>` spans under
-/// the current trace context), so traced statements carry operator-level
-/// spans in their request tree.
-void RecordOperatorSpans(monitor::SpanCollector* spans,
-                         const exec::TraceNode& node, uint64_t parent) {
+/// Records one `op:<Name>` span per operator of a plan that just ran, root
+/// first, under the current trace context: duration is the operator's
+/// inclusive time, value its rows, detail its EXPLAIN ANALYZE fields.
+void RecordOpSpans(monitor::SpanCollector* spans, const exec::Operator& op,
+                   uint64_t parent) {
   monitor::SpanCollector::Context ctx = monitor::SpanCollector::GetContext();
   monitor::Span s;
   s.trace_id = ctx.trace_id;
   s.session_id = ctx.session_id;
   s.parent_id = parent;
   s.span_id = spans->NextId();
-  s.name = "op:" + node.op;
-  s.dur_us = node.time_us;
-  s.value = static_cast<double>(node.rows);
+  s.name = "op:" + op.Name();
+  s.dur_us = op.elapsed_us();  // Record zeroes it in deterministic mode
+  s.value = static_cast<double>(op.rows_produced());
+  s.detail = op.AnalyzeStats(spans->deterministic());
   const uint64_t id = s.span_id;
   spans->Record(std::move(s));
-  for (const auto& c : node.children) RecordOperatorSpans(spans, c, id);
+  for (const auto& c : op.children()) RecordOpSpans(spans, *c, id);
 }
 
 }  // namespace
@@ -116,6 +112,17 @@ Database::Database()
   planner_options_.column_cache = &column_cache_;
   spans_.set_metrics(&metrics_);
   query_log_.set_drop_counter(metrics_.GetCounter("query_log.dropped"));
+  stmt_metrics_.queries = metrics_.GetCounter("exec.queries");
+  stmt_metrics_.errors = metrics_.GetCounter("exec.errors");
+  stmt_metrics_.select_rows = metrics_.GetCounter("exec.select_rows");
+  stmt_metrics_.plan_cache_hit = metrics_.GetCounter("plan_cache.hit");
+  stmt_metrics_.plan_cache_miss = metrics_.GetCounter("plan_cache.miss");
+  stmt_metrics_.latency_us = metrics_.GetHistogram("exec.query_latency_us");
+  stmt_metrics_.watermark_ts = metrics_.GetGauge("mvcc.watermark_ts");
+  for (const char* kind : kStmtKindNames) {
+    stmt_metrics_.per_kind.push_back(
+        metrics_.GetCounter(std::string("exec.stmt.") + kind));
+  }
   // Every sample flows through the incident pipeline: anomalies are detected
   // and diagnosed on the spot, incidents land in the aidb_incidents ring.
   kpi_sampler_.set_on_sample([this](const monitor::KpiSample& s) {
@@ -157,9 +164,9 @@ monitor::KpiSample Database::ProbeKpis() {
   now.denials = metrics_.GetCounter("lock.denials")->Value();
   now.stall_us = metrics_.GetCounter("wal.stall_us")->Value();
   now.fsyncs = metrics_.GetCounter("wal.fsyncs")->Value();
-  now.select_rows = metrics_.GetCounter("exec.select_rows")->Value();
-  now.queries = metrics_.GetCounter("exec.queries")->Value();
-  const auto lat = metrics_.GetHistogram("exec.query_latency_us")->Snap();
+  now.select_rows = stmt_metrics_.select_rows->Value();
+  now.queries = stmt_metrics_.queries->Value();
+  const auto lat = stmt_metrics_.latency_us->Snap();
   now.lat_count = lat.count;
   now.lat_sum_us = lat.sum_us;
 
@@ -237,25 +244,6 @@ void Database::RegisterSystemViews() {
                 Value(HexDigest(e.plan_digest)),
                 Value(static_cast<int64_t>(e.dop)),
                 Value(static_cast<int64_t>(e.session_id))});
-        }
-      });
-
-  Schema trace_schema({{"node", ValueType::kInt},
-                       {"parent", ValueType::kInt},
-                       {"depth", ValueType::kInt},
-                       {"operator", ValueType::kString},
-                       {"est_rows", ValueType::kDouble},
-                       {"rows", ValueType::kInt},
-                       {"batches", ValueType::kInt},
-                       {"time_us", ValueType::kDouble},
-                       {"workers", ValueType::kString}});
-  (void)catalog_.RegisterSystemView(
-      "aidb_trace", std::move(trace_schema), [this](const VF& emit) {
-        if (!has_trace_) return;
-        for (const auto& r : exec::FlattenTrace(last_trace_)) {
-          emit({Value(r.node), Value(r.parent), Value(r.depth), Value(r.op),
-                Value(r.est_rows), Value(r.rows), Value(r.batches),
-                Value(r.time_us), Value(r.workers)});
         }
       });
 
@@ -382,10 +370,6 @@ Status Database::RefreshReferencedSystemViews(const sql::Statement& stmt) {
   for (const auto& ref : s.from) AIDB_RETURN_NOT_OK(refresh(ref.table));
   for (const auto& j : s.joins) AIDB_RETURN_NOT_OK(refresh(j.table.table));
   return Status::OK();
-}
-
-std::string Database::LastTraceJson() const {
-  return has_trace_ ? exec::TraceToJson(last_trace_) : std::string();
 }
 
 std::string Database::SpansJson() const {
@@ -675,7 +659,8 @@ Result<QueryResult> Database::Execute(const std::string& sql,
     monitor::SpanScope parse_span(&spans_, "parse");
     AIDB_ASSIGN_OR_RETURN(stmt, sql::Parser::Parse(sql));
   }
-  if (exec_span.active()) exec_span.set_detail(StatementKindName(*stmt));
+  const size_t kind_slot = StatementKindSlot(*stmt);
+  if (exec_span.active()) exec_span.set_detail(kStmtKindNames[kind_slot]);
 
   StmtPlanInfo plan_info;
   AIDB_RETURN_NOT_OK(RefreshReferencedSystemViews(*stmt));
@@ -702,18 +687,17 @@ Result<QueryResult> Database::Execute(const std::string& sql,
 
   // Engine-wide telemetry: every statement is metered and logged, including
   // failures (the monitors train on error rates too).
-  std::string kind = StatementKindName(*stmt);
-  metrics_.GetCounter("exec.queries")->Add();
-  metrics_.GetCounter("exec.stmt." + kind)->Add();
-  if (!status.ok()) metrics_.GetCounter("exec.errors")->Add();
-  metrics_.GetHistogram("exec.query_latency_us")->Observe(latency_us);
+  stmt_metrics_.queries->Add();
+  stmt_metrics_.per_kind[kind_slot]->Add();
+  if (!status.ok()) stmt_metrics_.errors->Add();
+  stmt_metrics_.latency_us->Observe(latency_us);
   if (stmt->kind() == sql::StatementKind::kSelect) {
-    metrics_.GetCounter("exec.select_rows")->Add(result.rows.size());
+    stmt_metrics_.select_rows->Add(result.rows.size());
   }
 
   monitor::QueryLogEntry entry;
   entry.sql = sql;
-  entry.kind = std::move(kind);
+  entry.kind = kStmtKindNames[kind_slot];
   entry.ok = status.ok();
   if (!status.ok()) entry.error = status.ToString();
   entry.rows_returned = result.rows.size();
@@ -909,7 +893,7 @@ void Database::MaybeVacuum() {
   }
   commits_since_vacuum_.store(0, std::memory_order_relaxed);
   const uint64_t wm = tm_.WatermarkTs();
-  metrics_.GetGauge("mvcc.watermark_ts")->Set(static_cast<int64_t>(wm));
+  stmt_metrics_.watermark_ts->Set(static_cast<int64_t>(wm));
   for (const std::string& name : catalog_.TableNames()) {
     auto t = catalog_.GetTable(name);
     if (!t.ok()) continue;
@@ -1453,11 +1437,11 @@ Result<QueryResult> Database::ExecuteSelect(const sql::SelectStatement& stmt,
         monitor::SpanScope plan_span(&spans_, "plan");
         plan_span.set_detail("cache_hit");
       }
-      metrics_.GetCounter("plan_cache.hit")->Add();
+      stmt_metrics_.plan_cache_hit->Add();
       info->plan_cache_hit = true;
-      info->plan_digest = exec::PlanDigest(*cached->plan.root);
-      info->num_operators = exec::CountOperators(*cached->plan.root);
-      info->num_joins = exec::CountJoins(*cached->plan.root);
+      info->plan_digest = cached->plan.digest;
+      info->num_operators = cached->plan.num_operators;
+      info->num_joins = cached->plan.num_joins;
       QueryResult result;
       Status run = RunSelectPlan(cached->plan, stmt, settings, &result);
       // Check the plan back in even after a runtime error: Open() resets all
@@ -1470,7 +1454,7 @@ Result<QueryResult> Database::ExecuteSelect(const sql::SelectStatement& stmt,
       AIDB_RETURN_NOT_OK(run);
       return result;
     }
-    metrics_.GetCounter("plan_cache.miss")->Add();
+    stmt_metrics_.plan_cache_miss->Add();
   }
 
   exec::PhysicalPlan plan;
@@ -1482,9 +1466,9 @@ Result<QueryResult> Database::ExecuteSelect(const sql::SelectStatement& stmt,
     AIDB_ASSIGN_OR_RETURN(plan, planner_.Plan(stmt, settings.planner));
   }
 
-  info->plan_digest = exec::PlanDigest(*plan.root);
-  info->num_operators = exec::CountOperators(*plan.root);
-  info->num_joins = exec::CountJoins(*plan.root);
+  info->plan_digest = plan.digest;
+  info->num_operators = plan.num_operators;
+  info->num_joins = plan.num_joins;
 
   QueryResult result;
   auto join_order_line = [&]() -> std::string {
@@ -1516,7 +1500,8 @@ Result<QueryResult> Database::ExecuteSelect(const sql::SelectStatement& stmt,
   AIDB_RETURN_NOT_OK(RunSelectPlan(plan, stmt, settings, &result));
 
   if (stmt.explain_analyze) {
-    emit_plan_rows(exec::RenderTraceText(last_trace_) + join_order_line());
+    emit_plan_rows(plan.root->Describe(/*analyze=*/true, deterministic_timing_) +
+                   join_order_line());
   }
 
   if (cache_key != nullptr) {
@@ -1561,7 +1546,8 @@ Status Database::RunSelectPlan(exec::PhysicalPlan& plan,
 
   // Always set (not just when true): a cached plan carries whatever tracing
   // flag its previous run left behind.
-  bool traced = tracing_ || stmt.explain_analyze;
+  const bool traced =
+      tracing_.load(std::memory_order_relaxed) || stmt.explain_analyze;
   plan.root->SetTracing(traced);
   plan.root->SetCancel(settings.cancel);
   plan.root->SetSnapshot(settings.snapshot);
@@ -1603,14 +1589,10 @@ Status Database::RunSelectPlan(exec::PhysicalPlan& plan,
     record(*plan.root);
   }
 
-  if (traced) {
-    last_trace_ = exec::BuildTrace(*plan.root, deterministic_timing_);
-    has_trace_ = true;
-    if (spans_.enabled() &&
-        monitor::SpanCollector::GetContext().trace_id != 0) {
-      RecordOperatorSpans(&spans_, last_trace_,
-                          monitor::SpanCollector::GetContext().parent_span);
-    }
+  if (traced && spans_.enabled() &&
+      monitor::SpanCollector::GetContext().trace_id != 0) {
+    RecordOpSpans(&spans_, *plan.root,
+                  monitor::SpanCollector::GetContext().parent_span);
   }
   return Status::OK();
 }

@@ -15,7 +15,6 @@
 #include "common/timer.h"
 #include "db4ai/model_registry.h"
 #include "exec/planner.h"
-#include "exec/trace.h"
 #include "exec/vec/col_cache.h"
 #include "monitor/history.h"
 #include "monitor/incident.h"
@@ -245,8 +244,7 @@ class Database {
   const monitor::SpanCollector& spans() const { return spans_; }
   void EnableSpans(bool on) { spans_.set_enabled(on); }
   bool spans_enabled() const { return spans_.enabled(); }
-  /// JSON export of the retained spans, one object per line (the trace.*
-  /// flavor LastTraceJson uses).
+  /// JSON export of the retained spans, one object per line.
   std::string SpansJson() const;
 
   /// KPI time-series ring behind `aidb_metrics_history`.
@@ -264,15 +262,17 @@ class Database {
   /// safe to call while the background sampler runs (shared sample mutex).
   monitor::KpiSample SampleKpisNow() { return kpi_sampler_.SampleOnce(); }
 
-  /// Per-operator tracing for every statement (EXPLAIN ANALYZE always traces
-  /// its own statement regardless of this switch). Off by default: with
-  /// tracing off the only executor-side cost is one predicted branch per
+  /// Per-operator timing for every SELECT (EXPLAIN ANALYZE always times its
+  /// own statement regardless of this switch). A timed SELECT inside a span
+  /// context records one `op:<Name>` span per operator. Off by default: with
+  /// timing off the only executor-side cost is one predicted branch per
   /// operator call.
-  void EnableTracing(bool on) { tracing_ = on; }
-  bool tracing_enabled() const { return tracing_; }
+  void EnableTracing(bool on) {
+    tracing_.store(on, std::memory_order_relaxed);
+  }
 
-  /// Zeroes every wall-clock observable (QueryResult::elapsed_ms, trace
-  /// time_us, span start/duration, query-log latency/timestamp) so traced
+  /// Zeroes every wall-clock observable (QueryResult::elapsed_ms, EXPLAIN
+  /// ANALYZE time, span start/duration, query-log latency/timestamp) so traced
   /// runs digest byte-identically across executions — the differential
   /// oracle runs with this on. Deterministic work counters (rows produced)
   /// are unaffected.
@@ -281,14 +281,6 @@ class Database {
     spans_.set_deterministic(on);
   }
   bool deterministic_timing() const { return deterministic_timing_; }
-
-  /// Trace of the most recent traced SELECT (nullptr before any); also
-  /// served by `aidb_trace`.
-  const exec::TraceNode* last_trace() const {
-    return has_trace_ ? &last_trace_ : nullptr;
-  }
-  /// JSON span export of last_trace() ("" before any traced statement).
-  std::string LastTraceJson() const;
 
   /// Executor pool size (0 before any dop > 1). The pool is grow-only: it
   /// never shrinks when dop is lowered (regression-pinned in tests).
@@ -342,8 +334,8 @@ class Database {
   Status FlushColdStorage(bool force = true);
 
  private:
-  /// Plan/trace facts about one executed statement, harvested for the query
-  /// log. A local threaded through the execution path (NOT a member): two
+  /// Plan facts about one executed statement, harvested for the query log.
+  /// A local threaded through the execution path (NOT a member): two
   /// sessions executing concurrently must not clobber each other's plan
   /// facts.
   struct StmtPlanInfo {
@@ -359,8 +351,8 @@ class Database {
                                     const ExecSettings& settings,
                                     StmtPlanInfo* info,
                                     const std::string* cache_key);
-  /// Runs an already-built plan: columns, tracing, cancellation, drain,
-  /// error check, cardinality feedback, trace capture.
+  /// Runs an already-built plan: columns, operator timing, cancellation,
+  /// drain, error check, cardinality feedback, `op:` spans.
   Status RunSelectPlan(exec::PhysicalPlan& plan,
                        const sql::SelectStatement& stmt,
                        const ExecSettings& settings, QueryResult* result);
@@ -477,11 +469,24 @@ class Database {
   // Observability state. metrics_ precedes wal_ in declaration order so the
   // WAL's cached metric pointers stay valid through destruction.
   monitor::MetricsRegistry metrics_;
+  /// Statement-path metric handles, resolved once at construction so that
+  /// executing a statement never takes the registry mutex.
+  struct StmtMetrics {
+    monitor::Counter* queries = nullptr;
+    monitor::Counter* errors = nullptr;
+    monitor::Counter* select_rows = nullptr;
+    monitor::Counter* plan_cache_hit = nullptr;
+    monitor::Counter* plan_cache_miss = nullptr;
+    monitor::LatencyHistogram* latency_us = nullptr;
+    monitor::Gauge* watermark_ts = nullptr;
+    /// exec.stmt.<kind>, one per query-log kind string.
+    std::vector<monitor::Counter*> per_kind;
+  } stmt_metrics_;
   monitor::QueryLog query_log_;
-  bool tracing_ = false;
+  /// Read by sessions while another thread may flip it; relaxed like
+  /// SpanCollector::enabled_.
+  std::atomic<bool> tracing_{false};
   bool deterministic_timing_ = false;
-  exec::TraceNode last_trace_;
-  bool has_trace_ = false;
   Timer uptime_;  ///< arrival timestamps for the query log
 
   // Self-monitoring state. spans_ precedes wal_ (the WAL records wal_flush

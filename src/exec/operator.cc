@@ -1,18 +1,50 @@
 #include "exec/operator.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <unordered_set>
 
 #include "exec/agg_state.h"
 
 namespace aidb::exec {
 
-std::string Operator::Describe(int indent, bool with_rows) const {
+namespace {
+
+/// Integral values print without a fraction so deterministic EXPLAIN
+/// ANALYZE output stays byte-stable.
+std::string FormatDouble(double v) {
+  if (v == static_cast<double>(static_cast<int64_t>(v))) {
+    return std::to_string(static_cast<int64_t>(v));
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.1f", v);
+  return buf;
+}
+
+}  // namespace
+
+std::string Operator::Describe(bool analyze, bool zero_time, int indent) const {
   std::string out(static_cast<size_t>(indent) * 2, ' ');
   out += Name();
-  if (with_rows) out += " [rows=" + std::to_string(rows_produced_) + "]";
+  out += analyze ? " (" + AnalyzeStats(zero_time) + ")"
+                 : " [rows=" + std::to_string(rows_produced_) + "]";
   out += "\n";
-  for (const auto& c : children_) out += c->Describe(indent + 1, with_rows);
+  for (const auto& c : children_) {
+    out += c->Describe(analyze, zero_time, indent + 1);
+  }
+  return out;
+}
+
+std::string Operator::AnalyzeStats(bool zero_time) const {
+  std::string out = "est=";
+  out += est_rows_ < 0 ? "?" : FormatDouble(est_rows_);
+  out += " rows=" + std::to_string(rows_produced_);
+  out += " batches=" + std::to_string(next_calls_);
+  out += " time=" + FormatDouble(zero_time ? 0.0 : elapsed_us_) + "us";
+  for (size_t i = 0; i < worker_rows_.size(); ++i) {
+    out += i == 0 ? " workers=" : "+";
+    out += std::to_string(worker_rows_[i]);
+  }
   return out;
 }
 

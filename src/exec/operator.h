@@ -73,10 +73,16 @@ class Operator {
     return children_;
   }
   virtual std::string Name() const = 0;
-  /// Multi-line plan rendering for EXPLAIN. `with_rows` appends the live
-  /// rows_produced counters (the pre-telemetry rendering; plan digests use
-  /// the bare shape).
-  std::string Describe(int indent = 0, bool with_rows = true) const;
+  /// Multi-line plan rendering, one line per operator indented two spaces
+  /// per depth level: `Name [rows=N]` for EXPLAIN, `Name (AnalyzeStats)` for
+  /// EXPLAIN ANALYZE (`analyze`), read from the run that just finished.
+  std::string Describe(bool analyze = false, bool zero_time = false,
+                       int indent = 0) const;
+  /// EXPLAIN ANALYZE's per-operator fields, also the `detail` of the
+  /// operator's `op:` span: `est=... rows=... batches=... time=...us`, plus
+  /// ` workers=a+b+...` on exchange operators. `zero_time` prints time=0us
+  /// (deterministic-timing mode).
+  std::string AnalyzeStats(bool zero_time) const;
 
   /// Enables/disables per-call timing on this operator and all children.
   void SetTracing(bool on) {

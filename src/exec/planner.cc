@@ -407,6 +407,22 @@ std::string ItemName(const sql::SelectItem& item, size_t idx) {
   return "col" + std::to_string(idx);
 }
 
+/// Folds `op`'s subtree into the plan's shape facts in pre-order. Operator
+/// names carry no runtime counters, so the digest is stable across runs.
+void AddShapeFacts(const Operator& op, uint64_t depth, PhysicalPlan* plan) {
+  constexpr uint64_t kPrime = 1099511628211ULL;
+  const std::string name = op.Name();
+  for (char c : name) {
+    plan->digest ^= static_cast<unsigned char>(c);
+    plan->digest *= kPrime;
+  }
+  plan->digest ^= depth;
+  plan->digest *= kPrime;
+  ++plan->num_operators;
+  if (name.find("Join") != std::string::npos) ++plan->num_joins;
+  for (const auto& c : op.children()) AddShapeFacts(*c, depth + 1, plan);
+}
+
 }  // namespace
 
 Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
@@ -781,6 +797,8 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
   }
 
   result.root = std::move(root);
+  result.digest = 1469598103934665603ULL;  // FNV-1a offset basis
+  AddShapeFacts(*result.root, 0, &result);
   return result;
 }
 

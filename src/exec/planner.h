@@ -64,6 +64,12 @@ struct PhysicalPlan {
   std::unique_ptr<Operator> root;
   QueryGraph graph;
   std::unique_ptr<JoinPlan> join_plan;  ///< null for single-relation queries
+  /// Plan-shape facts for the query log, computed once when the plan is
+  /// built (cached plans reuse them): FNV-1a digest over operator names and
+  /// depths in pre-order, operator count, and join operator count.
+  uint64_t digest = 0;
+  uint32_t num_operators = 0;
+  uint32_t num_joins = 0;
 };
 
 /// \brief Translates a bound SELECT statement into a physical operator tree.

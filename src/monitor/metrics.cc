@@ -63,6 +63,7 @@ double LatencyHistogram::Snapshot::Percentile(double p) const {
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
+  lookups_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
@@ -70,6 +71,7 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
+  lookups_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
@@ -77,6 +79,7 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
 }
 
 LatencyHistogram* MetricsRegistry::GetHistogram(const std::string& name) {
+  lookups_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<LatencyHistogram>();

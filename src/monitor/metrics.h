@@ -105,7 +105,12 @@ class MetricsRegistry {
 
   std::vector<MetricSample> Snapshot() const;
 
+  /// Get* calls so far: each one takes the registry mutex, so a hot path
+  /// that stays off the lock leaves this unchanged.
+  uint64_t lookups() const { return lookups_.load(std::memory_order_relaxed); }
+
  private:
+  std::atomic<uint64_t> lookups_{0};
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

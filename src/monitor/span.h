@@ -31,7 +31,7 @@ struct Span {
   std::string detail;  ///< stage-specific annotation (hit/miss, stmt kind)
 };
 
-/// JSON object for one span — same flavor as trace.h's TraceToJson.
+/// JSON object for one span (Database::SpansJson writes one per line).
 std::string SpanToJson(const Span& s);
 
 /// \brief Bounded ring of completed spans plus the trace-context state used

@@ -11,30 +11,20 @@ namespace aidb::server {
 
 namespace {
 
-/// The n-th bare keyword of the statement (0-based), uppercased; empty when
-/// the statement runs out of leading keywords first.
-std::string KeywordAt(const std::string& sql, size_t n) {
+/// First bare keyword of the statement, uppercased.
+std::string HeadKeyword(const std::string& sql) {
   size_t i = 0;
+  while (i < sql.size() && std::isspace(static_cast<unsigned char>(sql[i]))) {
+    ++i;
+  }
   std::string word;
-  for (size_t k = 0; k <= n; ++k) {
-    word.clear();
-    while (i < sql.size() &&
-           std::isspace(static_cast<unsigned char>(sql[i]))) {
-      ++i;
-    }
-    while (i < sql.size() &&
-           std::isalpha(static_cast<unsigned char>(sql[i]))) {
-      word.push_back(static_cast<char>(
-          std::toupper(static_cast<unsigned char>(sql[i]))));
-      ++i;
-    }
-    if (word.empty()) return word;
+  while (i < sql.size() && std::isalpha(static_cast<unsigned char>(sql[i]))) {
+    word.push_back(
+        static_cast<char>(std::toupper(static_cast<unsigned char>(sql[i]))));
+    ++i;
   }
   return word;
 }
-
-/// First bare keyword of the statement, uppercased.
-std::string HeadKeyword(const std::string& sql) { return KeywordAt(sql, 0); }
 
 bool MentionsSystemView(const std::string& sql) {
   std::string u(sql.size(), '\0');
@@ -51,6 +41,18 @@ Service::Service(Database* db, ServiceOptions opts)
   if (opts_.workers == 0) opts_.workers = 1;
   if (opts_.queue_capacity == 0) opts_.queue_capacity = 1;
   opts_.cheap_reserve = std::min(opts_.cheap_reserve, opts_.workers - 1);
+  auto& m = db_->metrics();
+  shed_overloaded_metric_ = m.GetCounter("service.shed_overloaded");
+  shed_timeout_metric_ = m.GetCounter("service.shed_timeout");
+  const double targets_ms[2] = {opts_.cheap_p95_target_ms,
+                                opts_.heavy_p95_target_ms};
+  for (size_t i = 0; i < 2; ++i) {
+    if (targets_ms[i] <= 0.0) continue;  // lane untracked
+    const std::string prefix = i == 0 ? "slo.cheap." : "slo.heavy.";
+    slo_[i].p95_us = m.GetGauge(prefix + "p95_us");
+    slo_[i].target_us = m.GetGauge(prefix + "target_us");
+    slo_[i].breach = m.GetGauge(prefix + "breach");
+  }
   if (opts_.warm_classifier_from_log) {
     classifier_.WarmFromQueryLog(db_->query_log().Entries());
   }
@@ -176,7 +178,7 @@ std::future<Result<QueryResult>> Service::Submit(uint64_t session_id,
     }
     if (cheap_queue_.size() + heavy_queue_.size() >= opts_.queue_capacity) {
       shed_overloaded_.fetch_add(1, std::memory_order_relaxed);
-      db_->metrics().GetCounter("service.shed_overloaded")->Add();
+      shed_overloaded_metric_->Add();
       RecordRequestSpan(*job, "shed_overloaded");
       job->promise.set_value(Status::Overloaded(
           "admission queue full (" + std::to_string(opts_.queue_capacity) +
@@ -216,12 +218,12 @@ void Service::Drain() {
 }
 
 bool Service::SharedEligible(const Job& job) const {
-  // Tracing funnels every statement's trace through one shared buffer.
-  if (db_->tracing_enabled()) return false;
   // System-view statements rebuild the view's backing table at refresh.
   if (MentionsSystemView(job.sql)) return false;
   std::string head = HeadKeyword(job.sql);
-  if (head == "SELECT") return true;
+  // EXPLAIN [ANALYZE] plans (and runs) its SELECT like the SELECT itself;
+  // operator timings stay in the statement's own plan.
+  if (head == "SELECT" || head == "EXPLAIN") return true;
   if (head == "PREPARE" || head == "DEALLOCATE") return true;  // store-local
   // DML and transaction control run concurrently with readers and with each
   // other: MVCC snapshots isolate readers, per-index latches cover index
@@ -274,14 +276,6 @@ bool Service::SharedEligible(const Job& job) const {
       default:
         return false;  // DDL-class templates keep the exclusive lane
     }
-  }
-  if (head == "EXPLAIN") {
-    // EXPLAIN ANALYZE executes the statement under tracing and funnels
-    // per-operator timings through the shared trace buffer — exclusive
-    // lane. Plain EXPLAIN returns the rendered plan before execution ever
-    // starts (no trace writes, no engine state), so it is as shared-safe
-    // as the SELECT it wraps; the second keyword tells them apart.
-    return KeywordAt(job.sql, 1) != "ANALYZE";
   }
   return false;
 }
@@ -341,7 +335,7 @@ void Service::RunJob(Job& job) {
   if (deadline_passed || wait_exceeded ||
       job.cancel->load(std::memory_order_relaxed)) {
     shed_timeout_.fetch_add(1, std::memory_order_relaxed);
-    db_->metrics().GetCounter("service.shed_timeout")->Add();
+    shed_timeout_metric_->Add();
     job.session->errors.fetch_add(1, std::memory_order_relaxed);
     RecordRequestSpan(job, "shed_timeout");
     job.promise.set_value(Status::Timeout(
@@ -386,7 +380,7 @@ void Service::RunJob(Job& job) {
     result = Status::Timeout(
         "statement deadline exceeded (cancelled at morsel boundary)");
     shed_timeout_.fetch_add(1, std::memory_order_relaxed);
-    db_->metrics().GetCounter("service.shed_timeout")->Add();
+    shed_timeout_metric_->Add();
   }
 
   job.session->statements.fetch_add(1, std::memory_order_relaxed);
@@ -452,13 +446,9 @@ void Service::RecordLaneLatency(QueryClass k, double ms) {
     p95_ms = lane.p95_ms;
     breaching = lane.breaching;
   }
-  const char* name = k == QueryClass::kHeavy ? "heavy" : "cheap";
-  auto& m = db_->metrics();
-  m.GetGauge(std::string("slo.") + name + ".p95_us")
-      ->Set(static_cast<int64_t>(p95_ms * 1e3));
-  m.GetGauge(std::string("slo.") + name + ".target_us")
-      ->Set(static_cast<int64_t>(target_ms * 1e3));
-  m.GetGauge(std::string("slo.") + name + ".breach")->Set(breaching ? 1 : 0);
+  lane.p95_us->Set(static_cast<int64_t>(p95_ms * 1e3));
+  lane.target_us->Set(static_cast<int64_t>(target_ms * 1e3));
+  lane.breach->Set(breaching ? 1 : 0);
   if (k == QueryClass::kCheap) classifier_.SetCheapLanePressure(breaching);
 }
 

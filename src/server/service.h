@@ -52,14 +52,11 @@ struct ServiceOptions {
 /// \brief Concurrent in-process SQL service: sessions, admission control,
 /// per-statement deadlines and a cheap/heavy scheduler over one Database.
 ///
-/// Concurrency model: the Database's read paths (planning + SELECT
-/// execution) are thread-safe against each other but not against writes, so
-/// the service holds a shared lock for plain SELECT / PREPARE / EXECUTE-of-
-/// SELECT / DEALLOCATE and an exclusive lock for everything that mutates
-/// engine state (DML, DDL, ANALYZE, CREATE MODEL), for EXPLAIN ANALYZE and
-/// engine-tracing runs (they write the shared trace buffer), and for any
-/// statement touching an aidb_* system view (refresh replaces the backing
-/// table).
+/// Concurrency model: the service holds the engine lock shared for SELECT,
+/// EXPLAIN [ANALYZE], DML, transaction control, PREPARE / DEALLOCATE and
+/// EXECUTE of a SELECT or DML template (MVCC snapshots isolate readers from
+/// writers), and exclusive for DDL, ANALYZE, CREATE MODEL and any statement
+/// touching an aidb_* system view (refresh replaces the backing table).
 ///
 /// Overload never crashes and never hangs: a full queue sheds with
 /// Status::Overloaded at submit; a statement whose deadline passes while
@@ -168,6 +165,10 @@ class Service {
   std::atomic<uint64_t> shed_timeout_{0};
   std::atomic<uint64_t> executed_{0};
   bool view_registered_ = false;
+  /// Registry handles, resolved at construction: no statement takes the
+  /// registry mutex.
+  monitor::Counter* shed_overloaded_metric_ = nullptr;
+  monitor::Counter* shed_timeout_metric_ = nullptr;
 
   /// Per-lane rolling latency window for the SLO tracker ([0]=cheap,
   /// [1]=heavy).
@@ -177,6 +178,10 @@ class Service {
     double p95_ms = 0.0;
     uint64_t records = 0;
     bool breaching = false;
+    /// slo.<lane>.* gauges; registered only for a tracked lane.
+    monitor::Gauge* p95_us = nullptr;
+    monitor::Gauge* target_us = nullptr;
+    monitor::Gauge* breach = nullptr;
   };
   LaneSlo slo_[2];
 };

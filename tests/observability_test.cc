@@ -5,15 +5,50 @@
 #include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/database.h"
 #include "monitor/feedback.h"
+#include "server/service.h"
 
 namespace aidb {
 namespace {
+
+bool IsOpSpan(const monitor::Span& s) { return s.name.rfind("op:", 0) == 0; }
+
+/// The `op:` spans of the most recent statement that recorded any, in
+/// record order (root first).
+std::vector<monitor::Span> LastOpSpans(const Database& db) {
+  std::vector<monitor::Span> all = db.spans().Snapshot();
+  auto last = std::find_if(all.rbegin(), all.rend(), IsOpSpan);
+  std::vector<monitor::Span> out;
+  if (last == all.rend()) return out;
+  const uint64_t trace = last->trace_id;
+  for (const auto& s : all) {
+    if (IsOpSpan(s) && s.trace_id == trace) out.push_back(s);
+  }
+  return out;
+}
+
+/// Sum of the `workers=a+b+...` field of an `op:` span's detail; -1 when the
+/// operator has no per-worker split.
+int64_t WorkerRowSum(const std::string& stats) {
+  size_t pos = stats.find("workers=");
+  if (pos == std::string::npos) return -1;
+  int64_t sum = 0;
+  for (pos += 8; pos < stats.size();) {
+    size_t end = stats.find_first_of("+ ", pos);
+    if (end == std::string::npos) end = stats.size();
+    sum += std::stoll(stats.substr(pos, end - pos));
+    if (end >= stats.size() || stats[end] != '+') break;
+    pos = end + 1;
+  }
+  return sum;
+}
 
 class ObservabilityTest : public ::testing::Test {
  protected:
@@ -72,6 +107,7 @@ TEST_F(ObservabilityTest, ExplainIsStableAcrossRuns) {
 // --- EXPLAIN ANALYZE ---------------------------------------------------------
 
 TEST_F(ObservabilityTest, ExplainAnalyzeReportsEstimatesAndActuals) {
+  db_.EnableSpans(true);
   auto r = Run(
       "EXPLAIN ANALYZE SELECT dept, COUNT(*) FROM emp "
       "JOIN dept ON emp.dept = dept.id GROUP BY dept");
@@ -84,35 +120,62 @@ TEST_F(ObservabilityTest, ExplainAnalyzeReportsEstimatesAndActuals) {
   EXPECT_NE(r.message.find("time="), std::string::npos) << r.message;
   EXPECT_NE(r.message.find("join order:"), std::string::npos) << r.message;
 
-  // The trace is harvested for last_trace() / aidb_trace too.
-  ASSERT_NE(db_.last_trace(), nullptr);
-  EXPECT_GT(db_.last_trace()->children.size(), 0u);
-  EXPECT_NE(db_.LastTraceJson().find("\"op\":"), std::string::npos);
+  // The statement's op: spans carry the same per-operator fields, root
+  // first, one per plan line.
+  auto ops = LastOpSpans(db_);
+  ASSERT_GT(ops.size(), 1u);
+  ASSERT_GE(r.rows.size(), ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    std::string line = r.rows[i][0].AsString();
+    line.erase(0, line.find_first_not_of(' '));
+    EXPECT_EQ(line, ops[i].name.substr(3) + " (" + ops[i].detail + ")");
+    EXPECT_EQ(ops[i].detail.rfind("est=", 0), 0u) << ops[i].detail;
+  }
 }
 
 TEST_F(ObservabilityTest, ExplainAnalyzeOnEmptyTable) {
+  db_.EnableSpans(true);
   Run("CREATE TABLE nothing (x INT)");
   auto r = Run("EXPLAIN ANALYZE SELECT x FROM nothing WHERE x > 0");
   EXPECT_NE(r.message.find("rows=0"), std::string::npos) << r.message;
-  ASSERT_NE(db_.last_trace(), nullptr);
-  EXPECT_EQ(db_.last_trace()->rows, 0u);
+  auto ops = LastOpSpans(db_);
+  ASSERT_FALSE(ops.empty());
+  EXPECT_EQ(ops.front().value, 0.0);  // root operator produced no rows
+  EXPECT_NE(ops.front().detail.find("rows=0"), std::string::npos);
 }
 
 TEST_F(ObservabilityTest, TracingOffByDefault) {
-  EXPECT_EQ(db_.last_trace(), nullptr);
-  EXPECT_EQ(db_.LastTraceJson(), "");
+  db_.EnableSpans(true);
   Run("SELECT * FROM emp");
-  EXPECT_EQ(db_.last_trace(), nullptr);  // plain SELECT, tracing disabled
+  // Spans are on, but a plain SELECT without tracing times no operator.
+  EXPECT_FALSE(db_.spans().Snapshot().empty());
+  EXPECT_TRUE(LastOpSpans(db_).empty());
+  db_.EnableTracing(true);
+  Run("SELECT * FROM emp");
+  EXPECT_FALSE(LastOpSpans(db_).empty());
 }
 
 TEST_F(ObservabilityTest, DeterministicTimingZeroesClocks) {
   db_.SetDeterministicTiming(true);
   db_.EnableTracing(true);
+  db_.EnableSpans(true);
   auto r = Run("SELECT * FROM emp WHERE salary > 150");
   EXPECT_EQ(r.elapsed_ms, 0.0);
-  ASSERT_NE(db_.last_trace(), nullptr);
-  EXPECT_EQ(db_.last_trace()->time_us, 0.0);
-  EXPECT_GT(db_.last_trace()->rows, 0u);  // work counters stay live
+  auto ops = LastOpSpans(db_);
+  ASSERT_FALSE(ops.empty());
+  for (const auto& op : ops) {
+    EXPECT_EQ(op.dur_us, 0.0) << op.name;
+    EXPECT_NE(op.detail.find("time=0us"), std::string::npos) << op.detail;
+  }
+  EXPECT_EQ(ops.front().value, 4.0);  // work counters stay live
+  auto analyzed = Run("EXPLAIN ANALYZE SELECT * FROM emp WHERE salary > 150");
+  for (const auto& row : analyzed.rows) {
+    const std::string line = row[0].AsString();
+    if (line.rfind("join order:", 0) == 0) continue;
+    EXPECT_NE(line.find("time=0us"), std::string::npos) << line;
+  }
+  EXPECT_NE(analyzed.message.find("rows=4 "), std::string::npos)
+      << analyzed.message;
   auto entries = db_.query_log().Entries();
   ASSERT_FALSE(entries.empty());
   EXPECT_EQ(entries.back().latency_us, 0.0);
@@ -160,18 +223,83 @@ TEST_F(ObservabilityTest, MetricsViewServesCounters) {
   EXPECT_EQ(hist.rows.size(), 1u);
 }
 
-TEST_F(ObservabilityTest, TraceViewExposesLastTrace) {
+TEST_F(ObservabilityTest, OpSpansLinkRootFirst) {
+  db_.EnableSpans(true);
   Run("EXPLAIN ANALYZE SELECT emp.name FROM emp "
       "JOIN dept ON emp.dept = dept.id");
-  auto r = Run("SELECT node, parent, operator, rows FROM aidb_trace");
-  ASSERT_FALSE(r.rows.empty());
-  EXPECT_EQ(r.rows[0][0].AsInt(), 0);    // pre-order root first
-  EXPECT_EQ(r.rows[0][1].AsInt(), -1);   // root has no parent
+  auto ops = LastOpSpans(db_);
+  ASSERT_FALSE(ops.empty());
+  auto r = Run("SELECT span_id, parent_id, name FROM aidb_spans WHERE trace_id = " +
+               std::to_string(ops.front().trace_id));
+  std::vector<int64_t> seen_ops;
+  int64_t execute_span = -1;
   bool saw_join = false;
   for (const auto& row : r.rows) {
-    saw_join = saw_join || row[2].AsString().find("Join") != std::string::npos;
+    const std::string name = row[2].AsString();
+    if (name == "execute") execute_span = row[0].AsInt();
+    if (name.rfind("op:", 0) != 0) continue;
+    // Root first: every operator's parent was recorded before it, except
+    // the root, whose parent is the statement's execute span.
+    if (seen_ops.empty()) {
+      EXPECT_EQ(row[1].AsInt(), static_cast<int64_t>(ops.front().parent_id));
+    } else {
+      EXPECT_NE(std::find(seen_ops.begin(), seen_ops.end(), row[1].AsInt()),
+                seen_ops.end())
+          << name;
+    }
+    seen_ops.push_back(row[0].AsInt());
+    saw_join = saw_join || name.find("Join") != std::string::npos;
   }
+  EXPECT_EQ(seen_ops.size(), ops.size());
+  EXPECT_EQ(execute_span, static_cast<int64_t>(ops.front().parent_id));
   EXPECT_TRUE(saw_join);
+}
+
+TEST_F(ObservabilityTest, StatementPathTakesNoRegistryLookups) {
+  // Every statement class the metering code distinguishes: reads (plain,
+  // join, cached, prepared), DML, transaction control, EXPLAIN ANALYZE and a
+  // statement that fails after parsing. Four commits per round: 32 rounds
+  // pass the 64-commit vacuum cadence, so the watermark gauge runs too.
+  const std::vector<std::string> stmts = {
+      "SELECT name FROM emp WHERE salary > 150",
+      "SELECT emp.name FROM emp JOIN dept ON emp.dept = dept.id",
+      "INSERT INTO emp VALUES (9, 10, 50.0, 'z')",
+      "UPDATE emp SET salary = 60.0 WHERE id = 9",
+      "DELETE FROM emp WHERE id = 9",
+      "BEGIN",
+      "UPDATE emp SET salary = 70.0 WHERE id = 1",
+      "COMMIT",
+      "EXPLAIN ANALYZE SELECT * FROM dept",
+      "EXECUTE rd (2)",
+      "SELECT nope FROM emp",
+  };
+  auto run_all = [&](const std::function<void(const std::string&)>& exec) {
+    exec("PREPARE rd AS SELECT name FROM emp WHERE id = $1");
+    for (int round = 0; round < 32; ++round) {
+      for (const auto& sql : stmts) exec(sql);
+    }
+    exec("DEALLOCATE rd");
+  };
+
+  auto direct = [&](const std::string& sql) { (void)db_.Execute(sql); };
+  run_all(direct);  // warm-up
+  uint64_t before = db_.metrics().lookups();
+  run_all(direct);
+  EXPECT_EQ(db_.metrics().lookups(), before);
+
+  server::ServiceOptions opts;
+  opts.workers = 2;
+  opts.cheap_p95_target_ms = 1000.0;  // track both lanes' SLO gauges
+  opts.heavy_p95_target_ms = 1000.0;
+  server::Service service(&db_, opts);
+  auto session = service.OpenSession();
+  auto served = [&](const std::string& sql) {
+    (void)service.Execute(session->id(), sql);
+  };
+  run_all(served);  // warm-up
+  before = db_.metrics().lookups();
+  run_all(served);
+  EXPECT_EQ(db_.metrics().lookups(), before);
 }
 
 TEST_F(ObservabilityTest, SystemViewsAreReadOnlyAndReserved) {
@@ -327,26 +455,21 @@ class ParallelTelemetryTest : public ::testing::Test {
 
 TEST_F(ParallelTelemetryTest, WorkerRowCountsSumToSerialTotal) {
   db_.EnableTracing(true);
+  db_.EnableSpans(true);
   auto r = db_.Execute("SELECT * FROM big WHERE v > 10.0");
   ASSERT_TRUE(r.ok());
   size_t parallel_rows = r.ValueOrDie().rows.size();
 
-  ASSERT_NE(db_.last_trace(), nullptr);
-  // Find the gathering node and check its per-worker counts add up.
-  std::function<const exec::TraceNode*(const exec::TraceNode&)> find_workers =
-      [&](const exec::TraceNode& n) -> const exec::TraceNode* {
-    if (!n.worker_rows.empty()) return &n;
-    for (const auto& c : n.children) {
-      if (const exec::TraceNode* hit = find_workers(c)) return hit;
-    }
-    return nullptr;
-  };
-  const exec::TraceNode* gather = find_workers(*db_.last_trace());
-  ASSERT_NE(gather, nullptr) << "no parallel operator in dop=8 plan";
-  uint64_t sum = 0;
-  for (uint64_t w : gather->worker_rows) sum += w;
-  EXPECT_EQ(sum, gather->rows);
-  EXPECT_EQ(sum, parallel_rows);
+  // Find the gathering operator's span and check its per-worker counts add
+  // up to its rows and to the result.
+  auto ops = LastOpSpans(db_);
+  auto gather = std::find_if(ops.begin(), ops.end(), [](const monitor::Span& s) {
+    return WorkerRowSum(s.detail) >= 0;
+  });
+  ASSERT_NE(gather, ops.end()) << "no parallel operator in dop=8 plan";
+  const int64_t sum = WorkerRowSum(gather->detail);
+  EXPECT_EQ(static_cast<double>(sum), gather->value);
+  EXPECT_EQ(static_cast<size_t>(sum), parallel_rows);
 
   // Serial execution returns the same count (trace included).
   db_.SetDop(1);
@@ -362,6 +485,118 @@ TEST_F(ParallelTelemetryTest, ExplainAnalyzeParallelAggregate) {
   const std::string& text = r.ValueOrDie().message;
   EXPECT_NE(text.find("dop=8"), std::string::npos) << text;
   EXPECT_NE(text.find("workers="), std::string::npos) << text;
+}
+
+TEST_F(ParallelTelemetryTest, ConcurrentTracedSelectsAndExplainAnalyze) {
+  // Each client owns one table. Tracing and spans are on, so every SELECT
+  // times its operators; a statement that rendered or recorded another
+  // statement's plan names another client's table.
+  const std::vector<std::string> tables = {"alpha", "bravo", "charlie", "delta"};
+  for (const auto& t : tables) {
+    ASSERT_TRUE(db_.Execute("CREATE TABLE " + t + " (id INT, grp INT)").ok());
+    std::string sql = "INSERT INTO " + t + " VALUES ";
+    for (int i = 0; i < 64; ++i) {
+      if (i > 0) sql += ", ";
+      sql += "(" + std::to_string(i) + ", " + std::to_string(i % 8) + ")";
+    }
+    ASSERT_TRUE(db_.Execute(sql).ok());
+  }
+  db_.EnableTracing(true);
+  db_.EnableSpans(true);
+  db_.spans().set_capacity(1 << 16);
+
+  // Runs kRounds traced SELECTs and EXPLAIN ANALYZEs per client through
+  // `exec(client, sql)`; returns every problem found in the outputs.
+  constexpr int kRounds = 20;
+  auto drive = [&](const std::function<Result<QueryResult>(
+                       size_t, const std::string&)>& exec) {
+    std::vector<std::vector<std::string>> problems(tables.size());
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < tables.size(); ++c) {
+      clients.emplace_back([&, c] {
+        const std::string& own = tables[c];
+        for (int i = 0; i < kRounds; ++i) {
+          auto sel = exec(c, "SELECT grp, COUNT(*) FROM " + own + " GROUP BY grp");
+          if (!sel.ok() || sel.ValueOrDie().rows.size() != 8) {
+            problems[c].push_back("bad SELECT result on " + own);
+          }
+          auto ea = exec(c, "EXPLAIN ANALYZE SELECT id FROM " + own +
+                                " WHERE grp = " + std::to_string(i % 8));
+          if (!ea.ok()) {
+            problems[c].push_back(ea.status().ToString());
+            continue;
+          }
+          const std::string& text = ea.ValueOrDie().message;
+          for (const auto& t : tables) {
+            if ((text.find(t) != std::string::npos) != (t == own)) {
+              problems[c].push_back(own + "'s EXPLAIN ANALYZE:\n" + text);
+            }
+          }
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    std::vector<std::string> all;
+    for (auto& p : problems) all.insert(all.end(), p.begin(), p.end());
+    return all;
+  };
+
+  // Every op: span hangs off a span of its own request, and names only the
+  // table of the client whose session it carries.
+  auto check_spans = [&](const std::map<uint64_t, std::string>& table_of_session) {
+    EXPECT_EQ(db_.spans().total_dropped(), 0u);
+    std::map<uint64_t, std::set<uint64_t>> ids_of_trace;
+    std::vector<monitor::Span> spans = db_.spans().Snapshot();
+    for (const auto& s : spans) ids_of_trace[s.trace_id].insert(s.span_id);
+    size_t op_spans = 0;
+    for (const auto& s : spans) {
+      if (!IsOpSpan(s)) continue;
+      ++op_spans;
+      EXPECT_EQ(ids_of_trace[s.trace_id].count(s.parent_id), 1u)
+          << s.name << " has a parent outside its request";
+      auto own = table_of_session.find(s.session_id);
+      ASSERT_NE(own, table_of_session.end()) << s.name;
+      for (const auto& t : tables) {
+        if (t != own->second) {
+          EXPECT_EQ(s.name.find(t), std::string::npos)
+              << own->second << "'s request recorded " << s.name;
+        }
+      }
+    }
+    EXPECT_GT(op_spans, 0u);
+  };
+
+  // Leg 1: straight into Database::Execute, one session id per client.
+  std::map<uint64_t, std::string> table_of_session;
+  for (size_t c = 0; c < tables.size(); ++c) table_of_session[c + 1] = tables[c];
+  auto problems = drive([&](size_t c, const std::string& sql) {
+    ExecSettings settings = db_.SnapshotSettings();
+    settings.session_id = c + 1;
+    return db_.Execute(sql, settings);
+  });
+  EXPECT_TRUE(problems.empty()) << problems.size() << " problems, first: "
+                                << problems.front();
+  check_spans(table_of_session);
+
+  // Leg 2: through server::Service sessions, which run traced SELECTs and
+  // EXPLAIN ANALYZE under the shared engine lock.
+  db_.spans().Clear();
+  server::ServiceOptions opts;
+  opts.workers = 4;
+  opts.cheap_reserve = 0;
+  server::Service service(&db_, opts);
+  std::vector<std::shared_ptr<server::Session>> sessions;
+  table_of_session.clear();
+  for (size_t c = 0; c < tables.size(); ++c) {
+    sessions.push_back(service.OpenSession());
+    table_of_session[sessions.back()->id()] = tables[c];
+  }
+  problems = drive([&](size_t c, const std::string& sql) {
+    return service.Execute(sessions[c]->id(), sql);
+  });
+  EXPECT_TRUE(problems.empty()) << problems.size() << " problems, first: "
+                                << problems.front();
+  check_spans(table_of_session);
 }
 
 TEST(ParallelTelemetryStressTest, MetricsRegistryConcurrentWriters) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "advisor/rewrite/rewriter.h"
@@ -27,6 +28,10 @@ struct KeyDistParam {
   int64_t range;
   double zipf;  ///< 0: uniform
 };
+
+// gtest prints a parameter into its test's listed name; the default printer
+// dumps the raw bytes, name pointer included, which change from run to run.
+void PrintTo(const KeyDistParam& p, std::ostream* os) { *os << p.name; }
 
 class BTreeProperty : public ::testing::TestWithParam<KeyDistParam> {};
 
@@ -86,6 +91,8 @@ struct LsmParam {
   size_t bloom;
   bool leveling;
 };
+
+void PrintTo(const LsmParam& p, std::ostream* os) { *os << p.name; }
 
 class LsmProperty : public ::testing::TestWithParam<LsmParam> {};
 
