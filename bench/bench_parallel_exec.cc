@@ -67,8 +67,9 @@ void RunQuery(benchmark::State& state, const std::string& sql) {
   state.counters["dop"] = static_cast<double>(state.range(0));
 }
 
-/// The acceptance workload: full 1M-row scan + grouped aggregation, fully
-/// inside the parallel region (ParallelScan fused into ParallelHashAggregate).
+/// The acceptance workload: full 1M-row scan + grouped aggregation. The
+/// VecParallelScan workers scan the morsels; VecHashAggregate folds their
+/// batches in morsel order.
 void BM_ScanAggregate(benchmark::State& state) {
   RunQuery(state,
            "SELECT grp, COUNT(*), SUM(val), MIN(val), MAX(val) FROM t GROUP BY grp");
@@ -77,8 +78,8 @@ BENCHMARK(BM_ScanAggregate)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Selective parallel scan: filter fused into the morsel workers, gather
-/// materializes only survivors.
+/// Selective parallel scan: filters fused into the morsel workers, so only
+/// survivors leave the parallel region.
 void BM_FilteredScan(benchmark::State& state) {
   RunQuery(state, "SELECT id, val FROM t WHERE val > 990 AND grp < 16");
 }
@@ -86,8 +87,8 @@ BENCHMARK(BM_FilteredScan)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Parallel hash-join build: 1M-row probe side against the fact table as the
-/// build side exercises the partitioned parallel build phase.
+/// Hash join over the parallel scan: the 1M-row fact table is scanned
+/// morsel-parallel, and the batch hash join and aggregate run above it.
 void BM_HashJoinAggregate(benchmark::State& state) {
   RunQuery(state,
            "SELECT dim.grp, COUNT(*) FROM dim JOIN t ON dim.grp = t.grp "

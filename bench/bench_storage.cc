@@ -159,7 +159,6 @@ void BM_LsmZoneMapScan(benchmark::State& state) {
   LsmOptions design;
   design.memtable_capacity = 256;
   auto db = Database::Open(dir, LsmOpts(design)).ValueOrDie();
-  db->SetVectorized(true);
   (void)db->Execute("CREATE TABLE t (k INT, v DOUBLE)").ValueOrDie();
   for (int i = 0; i < kRows; i += 40) {
     std::string sql = "INSERT INTO t VALUES ";

@@ -12,10 +12,8 @@ namespace aidb::exec {
 /// \brief Accumulator for one group: running SUM/MIN/MAX/COUNT per aggregate
 /// column, from which every AggFunc finalizes.
 ///
-/// Shared by the serial HashAggregateOp and the partitioned parallel
-/// aggregation so their SQL semantics (NULL skipping, empty-group rules)
-/// cannot drift apart. All members are mergeable, which is what makes
-/// per-worker partial aggregation correct.
+/// Shared by HashAggregateOp and VecHashAggregateOp so their SQL semantics
+/// (NULL skipping, empty-group rules) cannot drift apart.
 struct GroupState {
   Tuple key_values;
   std::vector<double> sums;
@@ -62,22 +60,6 @@ struct GroupState {
       FoldOne(i, v);
     }
     return Status::OK();
-  }
-
-  /// Folds another partial state for the same group into this one.
-  void Merge(const GroupState& other) {
-    for (size_t i = 0; i < counts.size(); ++i) {
-      if (other.counts[i] == 0) continue;
-      if (counts[i] == 0) {
-        mins[i] = other.mins[i];
-        maxs[i] = other.maxs[i];
-      } else {
-        mins[i] = std::min(mins[i], other.mins[i]);
-        maxs[i] = std::max(maxs[i], other.maxs[i]);
-      }
-      sums[i] += other.sums[i];
-      counts[i] += other.counts[i];
-    }
   }
 
   /// The output row: group keys followed by finalized aggregates.
@@ -129,23 +111,6 @@ class GroupMap {
       h = (h ^ key.back().Hash()) * 1099511628211ULL;
     }
     return FindOrCreate(h, std::move(key), aggs.size())->Accumulate(aggs, row);
-  }
-
-  /// Folds a sibling worker's partial map into this one.
-  void Merge(GroupMap&& other) {
-    for (auto& [h, chain] : other.buckets_) {
-      for (auto& state : chain) {
-        GroupState* mine = Find(h, state.key_values);
-        if (mine != nullptr) {
-          mine->Merge(state);
-        } else {
-          buckets_[h].push_back(std::move(state));
-          ++num_groups_;
-        }
-      }
-    }
-    other.buckets_.clear();
-    other.num_groups_ = 0;
   }
 
   size_t num_groups() const { return num_groups_; }

@@ -190,16 +190,13 @@ class Database {
     return planner_options_.dop;
   }
 
-  /// Session batch-execution knob: on, the planner emits the vectorized
-  /// operator variants (VecScan/VecFilter/VecProject/VecHashJoin/
-  /// VecHashAggregate). Like SetDop, affects future statements only.
+  /// Engine switch, on by default: off plans future statements on the
+  /// serial volcano reference engine, which the differential fuzzer and
+  /// bench_vectorized compare the batch engine against (see
+  /// PlannerOptions::vectorized). Like SetDop, affects future statements only.
   void SetVectorized(bool on) {
     std::lock_guard<std::mutex> lock(options_mu_);
     planner_options_.vectorized = on;
-  }
-  bool vectorized() const {
-    std::lock_guard<std::mutex> lock(options_mu_);
-    return planner_options_.vectorized;
   }
 
   // --- Plan cache / DDL epochs ---------------------------------------------

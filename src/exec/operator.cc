@@ -49,7 +49,7 @@ std::string Operator::AnalyzeStats(bool zero_time) const {
 }
 
 size_t Operator::TotalWork() const {
-  size_t w = rows_produced_;
+  size_t w = rows_produced_ + fused_work_;
   for (const auto& c : children_) w += c->TotalWork();
   return w;
 }

@@ -35,6 +35,7 @@ class Operator {
     // must start from a clean slate or counters/errors from the previous
     // execution leak into this one.
     rows_produced_ = 0;
+    fused_work_ = 0;
     next_calls_ = 0;
     elapsed_us_ = 0.0;
     error_ = Status::OK();
@@ -80,7 +81,7 @@ class Operator {
                        int indent = 0) const;
   /// EXPLAIN ANALYZE's per-operator fields, also the `detail` of the
   /// operator's `op:` span: `est=... rows=... batches=... time=...us`, plus
-  /// ` workers=a+b+...` on exchange operators. `zero_time` prints time=0us
+  /// ` workers=a+b+...` on a parallel scan. `zero_time` prints time=0us
   /// (deterministic-timing mode).
   std::string AnalyzeStats(bool zero_time) const;
 
@@ -105,18 +106,16 @@ class Operator {
   /// children. Injected per execution exactly like the cancel flag (and reset
   /// to the default latest-committed snapshot when a plan is checked back
   /// into the cache): scans filter version chains through it, so one cached
-  /// physical plan serves statements from any transaction. Virtual because
-  /// the exchange operators own MorselSources that sit outside the child
-  /// list and need the snapshot forwarded.
-  virtual void SetSnapshot(const txn::Snapshot& snap) {
+  /// physical plan serves statements from any transaction.
+  void SetSnapshot(const txn::Snapshot& snap) {
     snap_ = snap;
     for (auto& c : children_) c->SetSnapshot(snap);
   }
   const txn::Snapshot& snapshot() const { return snap_; }
 
   size_t rows_produced() const { return rows_produced_; }
-  /// Next() invocations while traced (volcano batches; morsel counts for the
-  /// exchange operators live in worker_rows()).
+  /// Next() invocations while traced (NextBatch() calls on batch operators;
+  /// per-worker row counts of a parallel scan live in worker_rows()).
   uint64_t next_calls() const { return next_calls_; }
   /// Inclusive wall time (this operator and its children) while traced.
   double elapsed_us() const { return elapsed_us_; }
@@ -131,12 +130,13 @@ class Operator {
   const std::string& feedback_table() const { return feedback_table_; }
   void set_feedback_table(std::string table) { feedback_table_ = std::move(table); }
 
-  /// Rows handled per worker for exchange operators (empty on serial ones).
-  /// For Gather/ParallelScan this is rows gathered — the per-worker counts sum
-  /// to rows_produced; for ParallelHashAggregate it is input rows folded.
+  /// Rows each worker of a parallel scan produced (empty on serial
+  /// operators); the per-worker counts sum to rows_produced.
   const std::vector<uint64_t>& worker_rows() const { return worker_rows_; }
 
-  /// Total rows produced by this operator and all children (work proxy).
+  /// Executed work of this operator and all its children: rows produced,
+  /// plus the rows a fused scan handled internally (fused_work_). Both
+  /// engines therefore count a drained scan-and-filter chain the same way.
   size_t TotalWork() const;
 
   /// First runtime error hit by this operator or any child. Next() ends the
@@ -163,6 +163,11 @@ class Operator {
   std::vector<OutputCol> output_;
   std::vector<std::unique_ptr<Operator>> children_;
   size_t rows_produced_ = 0;
+  /// Rows a fused scan handled that a SeqScan+Filter chain would have
+  /// produced from separate operators: each batch's visible rows and each
+  /// non-final filter's survivors. Counted in TotalWork() only; EXPLAIN
+  /// ANALYZE, op: spans and cardinality feedback read rows_produced_.
+  size_t fused_work_ = 0;
   Status error_;
   bool tracing_ = false;
   uint64_t next_calls_ = 0;

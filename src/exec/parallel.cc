@@ -1,42 +1,6 @@
 #include "exec/parallel.h"
 
-#include <atomic>
-
 namespace aidb::exec {
-
-// ----- TableMorselSource -----
-
-TableMorselSource::TableMorselSource(const Table* table,
-                                     std::vector<BoundExpr> filters,
-                                     size_t morsel_rows)
-    : table_(table), filters_(std::move(filters)), morsel_rows_(morsel_rows) {
-  if (morsel_rows_ == 0) morsel_rows_ = 1;
-}
-
-size_t TableMorselSource::NumMorsels() const {
-  return (table_->NumSlots() + morsel_rows_ - 1) / morsel_rows_;
-}
-
-Status TableMorselSource::ScanMorsel(size_t m, const TupleFn& fn) const {
-  RowId begin = static_cast<RowId>(m * morsel_rows_);
-  Status err;
-  table_->ScanRangeVisible(begin, begin + morsel_rows_, snap_,
-                           [&](RowId, const Tuple& row) {
-    if (!err.ok()) return;  // first failing row in the morsel wins
-    for (const auto& f : filters_) {
-      Result<bool> keep = f.EvalBool(row);
-      if (!keep.ok()) {
-        err = keep.status();
-        return;
-      }
-      if (!keep.ValueOrDie()) return;
-    }
-    fn(row);
-  });
-  return err;
-}
-
-// ----- Morsel dispatch -----
 
 void DispatchMorsels(const ParallelContext& ctx, size_t n,
                      const std::atomic<bool>* cancel,
@@ -63,258 +27,6 @@ void DispatchMorsels(const ParallelContext& ctx, size_t n,
     });
   }
   group.Wait();
-}
-
-// ----- Gather -----
-
-GatherOp::GatherOp(std::unique_ptr<MorselSource> source,
-                   std::vector<OutputCol> schema, ParallelContext ctx)
-    : source_(std::move(source)), ctx_(ctx) {
-  output_ = std::move(schema);
-}
-
-void GatherOp::OpenImpl() {
-  morsel_cursor_ = 0;
-  row_cursor_ = 0;
-  size_t n = source_->NumMorsels();
-  buffers_.assign(n, {});
-  worker_rows_.assign(ctx_.WorkersFor(n), 0);
-  // One status slot per morsel: workers write disjoint slots, and the error
-  // of the lowest-numbered failing morsel is reported — the same row order a
-  // serial scan would fail in, whatever the worker interleaving.
-  std::vector<Status> morsel_status(n);
-  DispatchMorsels(ctx_, n, cancel_, [this, &morsel_status](size_t w, size_t m) {
-    auto& buf = buffers_[m];
-    morsel_status[m] =
-        source_->ScanMorsel(m, [&buf](const Tuple& row) { buf.push_back(row); });
-    worker_rows_[w] += buf.size();  // distinct w per task: no shared writes
-  });
-  if (IsCancelled()) {
-    Fail(Status::Cancelled("query cancelled during parallel scan"));
-    buffers_.clear();
-    return;
-  }
-  for (Status& s : morsel_status) {
-    if (!s.ok()) {
-      Fail(std::move(s));
-      buffers_.clear();
-      return;
-    }
-  }
-}
-
-bool GatherOp::NextImpl(Tuple* out) {
-  while (morsel_cursor_ < buffers_.size()) {
-    const auto& buf = buffers_[morsel_cursor_];
-    if (row_cursor_ < buf.size()) {
-      *out = buf[row_cursor_++];
-      ++rows_produced_;
-      return true;
-    }
-    ++morsel_cursor_;
-    row_cursor_ = 0;
-  }
-  return false;
-}
-
-void GatherOp::CloseImpl() {
-  buffers_.clear();
-  buffers_.shrink_to_fit();
-}
-
-// ----- ParallelScan -----
-
-ParallelScanOp::ParallelScanOp(const Table* table, std::string effective_name,
-                               std::vector<BoundExpr> filters,
-                               std::vector<std::string> filter_texts,
-                               ParallelContext ctx)
-    : GatherOp(nullptr, {}, ctx),
-      label_(std::move(effective_name)),
-      filter_texts_(std::move(filter_texts)) {
-  for (const auto& col : table->schema().columns()) {
-    output_.push_back({label_, col.name, col.type});
-  }
-  source_ = std::make_unique<TableMorselSource>(table, std::move(filters));
-}
-
-std::string ParallelScanOp::Name() const {
-  std::string name = "ParallelScan(" + label_;
-  for (const auto& t : filter_texts_) name += ", filter=" + t;
-  return name + ", dop=" + std::to_string(ctx_.dop) + ")";
-}
-
-// ----- ParallelHashJoin -----
-
-ParallelHashJoinOp::ParallelHashJoinOp(std::unique_ptr<Operator> left,
-                                       std::unique_ptr<Operator> right,
-                                       size_t left_key, size_t right_key,
-                                       ParallelContext ctx)
-    : left_key_(left_key), right_key_(right_key), ctx_(ctx) {
-  output_ = left->output();
-  for (const auto& c : right->output()) output_.push_back(c);
-  children_.push_back(std::move(left));
-  children_.push_back(std::move(right));
-}
-
-void ParallelHashJoinOp::OpenImpl() {
-  children_[0]->Open();
-  children_[1]->Open();
-  for (auto& p : partitions_) p.clear();
-  build_rows_.clear();
-
-  // Materialize the build side (volcano children are single-threaded).
-  Tuple row;
-  while (children_[1]->Next(&row)) {
-    if (row[right_key_].is_null()) continue;  // NULL never equi-joins
-    build_rows_.push_back(std::move(row));
-  }
-
-  struct BuildRef {
-    uint64_t hash;
-    uint32_t row;
-  };
-  size_t n_morsels = (build_rows_.size() + kMorselRows - 1) / kMorselRows;
-  size_t workers = ctx_.WorkersFor(n_morsels);
-
-  // Phase 1: workers claim build morsels and bucket (hash, row) refs into
-  // per-worker partition lists — no shared writes.
-  std::vector<std::array<std::vector<BuildRef>, kPartitions>> local(workers);
-  DispatchMorsels(ctx_, n_morsels, cancel_, [this, &local](size_t w, size_t m) {
-    size_t begin = m * kMorselRows;
-    size_t end = std::min(begin + kMorselRows, build_rows_.size());
-    for (size_t i = begin; i < end; ++i) {
-      uint64_t h = JoinKeyHash(build_rows_[i][right_key_]);
-      local[w][h % kPartitions].push_back({h, static_cast<uint32_t>(i)});
-    }
-  });
-
-  // Phase 2: merge tasks claim whole partitions, so each hash table has
-  // exactly one writer.
-  DispatchMorsels(ctx_, kPartitions, cancel_, [this, &local](size_t, size_t p) {
-    auto& table = partitions_[p];
-    for (const auto& worker_buckets : local) {
-      for (const BuildRef& ref : worker_buckets[p]) {
-        table[ref.hash].push_back(ref.row);
-      }
-    }
-  });
-  if (IsCancelled()) {
-    Fail(Status::Cancelled("query cancelled during join build"));
-    build_rows_.clear();
-    for (auto& p : partitions_) p.clear();
-  }
-
-  matches_ = nullptr;
-  match_cursor_ = 0;
-}
-
-bool ParallelHashJoinOp::NextImpl(Tuple* out) {
-  for (;;) {
-    if (matches_ != nullptr) {
-      while (match_cursor_ < matches_->size()) {
-        const Tuple& inner = build_rows_[(*matches_)[match_cursor_++]];
-        // Re-check equality (hash collisions).
-        if (inner[right_key_].Compare(probe_row_[left_key_]) != 0) continue;
-        *out = probe_row_;
-        out->insert(out->end(), inner.begin(), inner.end());
-        ++rows_produced_;
-        return true;
-      }
-      matches_ = nullptr;
-    }
-    if (!children_[0]->Next(&probe_row_)) return false;
-    const Value& key = probe_row_[left_key_];
-    if (key.is_null()) continue;
-    uint64_t h = JoinKeyHash(key);
-    const auto& partition = partitions_[h % kPartitions];
-    auto it = partition.find(h);
-    if (it == partition.end()) continue;
-    matches_ = &it->second;
-    match_cursor_ = 0;
-  }
-}
-
-void ParallelHashJoinOp::CloseImpl() {
-  children_[0]->Close();
-  children_[1]->Close();
-  build_rows_.clear();
-  for (auto& p : partitions_) p.clear();
-}
-
-// ----- ParallelHashAggregate -----
-
-ParallelHashAggregateOp::ParallelHashAggregateOp(
-    std::unique_ptr<MorselSource> source, std::vector<BoundExpr> keys,
-    std::vector<OutputCol> key_cols, std::vector<AggSpec> aggs,
-    ParallelContext ctx)
-    : source_(std::move(source)),
-      keys_(std::move(keys)),
-      aggs_(std::move(aggs)),
-      ctx_(ctx) {
-  output_ = std::move(key_cols);
-  for (const auto& a : aggs_) {
-    output_.push_back({"", a.out_name, ValueType::kDouble});
-  }
-}
-
-void ParallelHashAggregateOp::OpenImpl() {
-  results_.clear();
-  cursor_ = 0;
-
-  size_t n = source_->NumMorsels();
-  size_t workers = ctx_.WorkersFor(n);
-  std::vector<GroupMap> partials(workers);
-  std::vector<Status> morsel_status(n);
-  worker_rows_.assign(workers, 0);
-  DispatchMorsels(ctx_, n, cancel_, [this, &partials, &morsel_status](size_t w, size_t m) {
-    GroupMap& map = partials[w];
-    Status acc_err;
-    Status scan = source_->ScanMorsel(m, [&](const Tuple& row) {
-      if (!acc_err.ok()) return;
-      ++worker_rows_[w];  // input rows folded by this worker; w is task-unique
-      acc_err = map.Accumulate(keys_, aggs_, row);
-    });
-    morsel_status[m] = scan.ok() ? std::move(acc_err) : std::move(scan);
-  });
-  if (IsCancelled()) {
-    Fail(Status::Cancelled("query cancelled during parallel aggregation"));
-    return;
-  }
-  for (Status& s : morsel_status) {
-    if (!s.ok()) {
-      Fail(std::move(s));
-      return;  // results_ stays empty; the executor sees FirstError()
-    }
-  }
-
-  GroupMap merged = std::move(partials[0]);
-  for (size_t w = 1; w < partials.size(); ++w) {
-    merged.Merge(std::move(partials[w]));
-  }
-
-  // No-group aggregate over empty input still yields one row of zero counts.
-  if (keys_.empty() && merged.num_groups() == 0) {
-    Tuple out;
-    for (const auto& a : aggs_) {
-      if (a.func == sql::AggFunc::kCount) {
-        out.push_back(Value(static_cast<int64_t>(0)));
-      } else {
-        out.push_back(Value::Null());
-      }
-    }
-    results_.push_back(std::move(out));
-    return;
-  }
-
-  merged.ForEach(
-      [this](const GroupState& g) { results_.push_back(g.Finalize(aggs_)); });
-}
-
-bool ParallelHashAggregateOp::NextImpl(Tuple* out) {
-  if (cursor_ >= results_.size()) return false;
-  *out = results_[cursor_++];
-  ++rows_produced_;
-  return true;
 }
 
 }  // namespace aidb::exec

@@ -1,16 +1,10 @@
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <atomic>
 #include <functional>
-#include <memory>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "common/thread_pool.h"
-#include "exec/agg_state.h"
-#include "exec/operator.h"
 
 namespace aidb::exec {
 
@@ -18,11 +12,10 @@ namespace aidb::exec {
 /// workers, large enough that dispatch overhead vanishes next to per-row work.
 inline constexpr size_t kMorselRows = 2048;
 
-/// \brief Shared executor state threaded through the parallel operators.
+/// \brief Executor pool and degree of parallelism for one parallel scan.
 ///
-/// A null pool (or dop <= 1) makes every parallel operator run its morsels
-/// inline on the calling thread, so plans remain correct however the session
-/// knob is set.
+/// A null pool (or dop <= 1) makes the scan run its morsels inline on the
+/// calling thread, so plans remain correct however the session knob is set.
 struct ParallelContext {
   ThreadPool* pool = nullptr;
   size_t dop = 1;
@@ -40,167 +33,9 @@ struct ParallelContext {
 /// everything runs inline on the calling thread. A set `cancel` flag stops
 /// workers at the next morsel claim — already-claimed morsels finish, so
 /// per-morsel output stays well-formed and the caller decides whether to
-/// surface Cancelled. Shared by the volcano exchange operators and the
-/// vectorized parallel scan.
+/// surface Cancelled. VecParallelScanOp is its caller.
 void DispatchMorsels(
     const ParallelContext& ctx, size_t n, const std::atomic<bool>* cancel,
     const std::function<void(size_t worker, size_t morsel)>& work);
-
-/// \brief A relation scannable morsel-at-a-time by many threads.
-///
-/// NumMorsels() fixes a partition of the row range; ScanMorsel(m, fn) visits
-/// morsel m's qualifying rows. Calls with distinct m are safe from distinct
-/// threads (the source is read-only during execution). A non-OK return means
-/// a fused predicate failed to evaluate inside the morsel; consumers report
-/// the error of the lowest-numbered failing morsel so serial and parallel
-/// executions surface the same first error.
-class MorselSource {
- public:
-  using TupleFn = std::function<void(const Tuple&)>;
-
-  virtual ~MorselSource() = default;
-  virtual size_t NumMorsels() const = 0;
-  virtual Status ScanMorsel(size_t m, const TupleFn& fn) const = 0;
-  /// Installs the statement snapshot before dispatch (table sources filter
-  /// version chains through it; derived sources may ignore it). Called from
-  /// the owning operator's SetSnapshot, never concurrently with scans.
-  virtual void SetSnapshot(const txn::Snapshot& snap) { (void)snap; }
-};
-
-/// Morsels over a Table's slot range, with filter predicates fused into the
-/// scan so they execute inside the workers.
-class TableMorselSource : public MorselSource {
- public:
-  TableMorselSource(const Table* table, std::vector<BoundExpr> filters,
-                    size_t morsel_rows = kMorselRows);
-  size_t NumMorsels() const override;
-  Status ScanMorsel(size_t m, const TupleFn& fn) const override;
-  void SetSnapshot(const txn::Snapshot& snap) override { snap_ = snap; }
-
- private:
-  const Table* table_;
-  std::vector<BoundExpr> filters_;
-  size_t morsel_rows_;
-  txn::Snapshot snap_;  ///< default = latest committed
-};
-
-/// \brief Exchange endpoint between the parallel and serial plan regions.
-///
-/// Open() drives the morsel source to completion across the pool, buffering
-/// each morsel's output separately; Next() then streams the buffers in
-/// morsel order, so the row order equals the serial scan's and every
-/// operator above the gather is oblivious to parallelism.
-class GatherOp : public Operator {
- public:
-  GatherOp(std::unique_ptr<MorselSource> source, std::vector<OutputCol> schema,
-           ParallelContext ctx);
-  std::string Name() const override {
-    return "Gather(dop=" + std::to_string(ctx_.dop) + ")";
-  }
-
-  const ParallelContext& ctx() const { return ctx_; }
-  /// Transfers the source to a parallel consumer (partitioned aggregation),
-  /// which then scans it directly and skips the gather materialization.
-  std::unique_ptr<MorselSource> TakeSource() { return std::move(source_); }
-
-  void SetSnapshot(const txn::Snapshot& snap) override {
-    Operator::SetSnapshot(snap);
-    if (source_) source_->SetSnapshot(snap);
-  }
-
- protected:
-  void OpenImpl() override;
-  bool NextImpl(Tuple* out) override;
-  void CloseImpl() override;
-
-  std::unique_ptr<MorselSource> source_;
-  ParallelContext ctx_;
-  std::vector<std::vector<Tuple>> buffers_;  ///< one per morsel
-  size_t morsel_cursor_ = 0;
-  size_t row_cursor_ = 0;
-};
-
-/// Morsel-parallel table scan (a gather over a TableMorselSource). Filters
-/// are fused into the workers, so no Filter node ever sits above it.
-class ParallelScanOp : public GatherOp {
- public:
-  ParallelScanOp(const Table* table, std::string effective_name,
-                 std::vector<BoundExpr> filters,
-                 std::vector<std::string> filter_texts, ParallelContext ctx);
-  std::string Name() const override;
-
- private:
-  std::string label_;
-  std::vector<std::string> filter_texts_;
-};
-
-/// \brief Hash join whose build phase partitions in parallel.
-///
-/// Build rows are materialized from the right child (volcano children are
-/// not thread-safe), then workers claim morsels of the build vector and
-/// bucket (hash, row-index) pairs into per-worker partition lists; merge
-/// tasks — one per partition — fold those lists into the partition's hash
-/// table, so no two threads ever touch the same partition. The probe side
-/// stays a streaming volcano Next(), leaving downstream operators unchanged.
-class ParallelHashJoinOp : public Operator {
- public:
-  static constexpr size_t kPartitions = 64;
-
-  ParallelHashJoinOp(std::unique_ptr<Operator> left,
-                     std::unique_ptr<Operator> right, size_t left_key,
-                     size_t right_key, ParallelContext ctx);
-  std::string Name() const override {
-    return "ParallelHashJoin(dop=" + std::to_string(ctx_.dop) + ")";
-  }
-
- protected:
-  void OpenImpl() override;
-  bool NextImpl(Tuple* out) override;
-  void CloseImpl() override;
-
- private:
-  size_t left_key_, right_key_;
-  ParallelContext ctx_;
-  std::vector<Tuple> build_rows_;
-  /// Partition p holds hash -> indexes into build_rows_.
-  std::array<std::unordered_map<uint64_t, std::vector<uint32_t>>, kPartitions>
-      partitions_;
-  Tuple probe_row_;
-  const std::vector<uint32_t>* matches_ = nullptr;
-  size_t match_cursor_ = 0;
-};
-
-/// \brief Partitioned parallel aggregation over a morsel source.
-///
-/// Each worker folds its morsels into a thread-local GroupMap; the partials
-/// are then merged into one map and finalized. Group counts are typically
-/// tiny next to input rows, so the merge is off the hot path.
-class ParallelHashAggregateOp : public Operator {
- public:
-  ParallelHashAggregateOp(std::unique_ptr<MorselSource> source,
-                          std::vector<BoundExpr> keys,
-                          std::vector<OutputCol> key_cols,
-                          std::vector<AggSpec> aggs, ParallelContext ctx);
-  std::string Name() const override {
-    return "ParallelHashAggregate(dop=" + std::to_string(ctx_.dop) + ")";
-  }
-
-  void SetSnapshot(const txn::Snapshot& snap) override {
-    Operator::SetSnapshot(snap);
-    if (source_) source_->SetSnapshot(snap);
-  }
-
- protected:
-  void OpenImpl() override;
-  bool NextImpl(Tuple* out) override;
-
- private:
-  std::unique_ptr<MorselSource> source_;
-  std::vector<BoundExpr> keys_;
-  std::vector<AggSpec> aggs_;
-  ParallelContext ctx_;
-  std::vector<Tuple> results_;
-  size_t cursor_ = 0;
-};
 
 }  // namespace aidb::exec

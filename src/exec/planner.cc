@@ -6,30 +6,31 @@
 #include <limits>
 #include <set>
 
-#include "exec/parallel.h"
 #include "exec/vec/vec_ops.h"
 
 namespace aidb::exec {
 
 namespace {
 
-/// True when the options ask for (and can support) parallel execution.
-bool ParallelEnabled(const PlannerOptions& opts) {
-  return opts.dop > 1 && opts.exec_pool != nullptr;
+/// True when `op` produces batches. Filter, Project, HashJoin and
+/// HashAggregate take their Vec* variant only over a batch input, so the
+/// engine switch is read once, in BuildScan, and a plan rooted in an index
+/// scan stays row-at-a-time end to end.
+bool IsBatch(const Operator& op) {
+  return dynamic_cast<const VecOperator*>(&op) != nullptr;
 }
 
-/// Wraps `child` in the engine-appropriate filter. The scalar expression
+/// Wraps `child` in the filter matching its protocol. The scalar expression
 /// always binds first so bind-time errors carry the row engine's canonical
 /// text whichever engine runs; the vectorized filter keeps the scalar twin
 /// for exact runtime error Statuses.
 Result<std::unique_ptr<Operator>> MakeFilter(std::unique_ptr<Operator> child,
                                              const sql::Expr& pred,
                                              std::string text,
-                                             const ModelResolver* models,
-                                             bool vectorized) {
+                                             const ModelResolver* models) {
   BoundExpr bound;
   AIDB_ASSIGN_OR_RETURN(bound, BoundExpr::Bind(pred, child->output(), models));
-  if (vectorized) {
+  if (IsBatch(*child)) {
     VecExpr vec;
     AIDB_ASSIGN_OR_RETURN(vec, VecExpr::Bind(pred, child->output(), models));
     return std::unique_ptr<Operator>(std::make_unique<VecFilterOp>(
@@ -227,10 +228,12 @@ Result<std::unique_ptr<Operator>> Planner::BuildScan(
     }
   }
 
-  // Vectorized scan: replaces SeqScan+FilterOp (and the row-based gather)
-  // whenever no index was chosen — index scans are already sub-linear, so
-  // they stay row-at-a-time. Local predicates fuse into the scan as paired
-  // vectorized/scalar expressions.
+  // Without a chosen index, the engine switch picks the scan. The batch
+  // engine fuses every local predicate into the scan as paired
+  // vectorized/scalar expressions, morsel-parallel when dop and the base
+  // cardinality (as tracked by the catalog) make dispatch pay for itself.
+  // The volcano reference engine builds a serial SeqScan+Filter chain below.
+  // Index scans are already sub-linear and stay row-at-a-time in both.
   if (index == nullptr && opts.vectorized) {
     std::vector<OutputCol> schema;
     for (const auto& col : table->schema().columns()) {
@@ -249,7 +252,7 @@ Result<std::unique_ptr<Operator>> Planner::BuildScan(
       filter_texts.push_back(p->ToString());
     }
     std::unique_ptr<Operator> scan;
-    if (ParallelEnabled(opts) &&
+    if (opts.dop > 1 && opts.exec_pool != nullptr &&
         rel.base_rows >= static_cast<double>(opts.parallel_threshold_rows)) {
       scan = std::make_unique<VecParallelScanOp>(
           table, rel.name, std::move(filters), std::move(scalar_filters),
@@ -262,31 +265,6 @@ Result<std::unique_ptr<Operator>> Planner::BuildScan(
     }
     AnnotateScanChain(scan.get(), rel);
     return scan;
-  }
-
-  // Morsel-parallel scan: only without a chosen index (index scans are
-  // already sub-linear) and only when the base cardinality — as tracked by
-  // the catalog — is large enough that morsel dispatch pays for itself.
-  // Every local predicate is fused into the scan workers.
-  if (index == nullptr && ParallelEnabled(opts) &&
-      rel.base_rows >= static_cast<double>(opts.parallel_threshold_rows)) {
-    std::vector<OutputCol> schema;
-    for (const auto& col : table->schema().columns()) {
-      schema.push_back({rel.name, col.name, col.type});
-    }
-    std::vector<BoundExpr> filters;
-    std::vector<std::string> filter_texts;
-    for (const sql::Expr* p : rel.local_predicates) {
-      BoundExpr bound;
-      AIDB_ASSIGN_OR_RETURN(bound, BoundExpr::Bind(*p, schema, models_));
-      filters.push_back(std::move(bound));
-      filter_texts.push_back(p->ToString());
-    }
-    ParallelContext ctx{opts.exec_pool, opts.dop};
-    auto pscan = std::make_unique<ParallelScanOp>(
-        table, rel.name, std::move(filters), std::move(filter_texts), ctx);
-    AnnotateScanChain(pscan.get(), rel);
-    return std::unique_ptr<Operator>(std::move(pscan));
   }
 
   std::unique_ptr<Operator> scan;
@@ -354,14 +332,11 @@ Result<std::unique_ptr<Operator>> Planner::BuildJoinTree(
     if (lk < 0 || rk < 0) {
       return Status::Internal("join key resolution failed");
     }
-    if (opts.vectorized) {
+    // The probe side (left) drives the output stream, so it decides.
+    if (IsBatch(*left)) {
       join = std::make_unique<VecHashJoinOp>(std::move(left), std::move(right),
                                              static_cast<size_t>(lk),
                                              static_cast<size_t>(rk));
-    } else if (ParallelEnabled(opts)) {
-      join = std::make_unique<ParallelHashJoinOp>(
-          std::move(left), std::move(right), static_cast<size_t>(lk),
-          static_cast<size_t>(rk), ParallelContext{opts.exec_pool, opts.dop});
     } else {
       join = std::make_unique<HashJoinOp>(std::move(left), std::move(right),
                                           static_cast<size_t>(lk),
@@ -378,8 +353,7 @@ Result<std::unique_ptr<Operator>> Planner::BuildJoinTree(
     if (i == used_edge) continue;
     AIDB_ASSIGN_OR_RETURN(
         join, MakeFilter(std::move(join), *crossing[i]->condition,
-                         crossing[i]->condition->ToString(), models_,
-                         opts.vectorized));
+                         crossing[i]->condition->ToString(), models_));
   }
   return join;
 }
@@ -449,50 +423,48 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
   // Column pruning for vectorized scans: mark, per relation, every column the
   // statement can possibly read (see RelationInfo::used_columns for the
   // safety argument). Unqualified names mark every relation that has the
-  // column — over-approximate, never wrong.
-  if (opts.vectorized) {
-    bool star = false;
-    for (const auto& item : stmt.items) star = star || item.is_star;
-    std::vector<const sql::Expr*> roots;
-    for (const auto& item : stmt.items) {
-      if (item.expr) roots.push_back(item.expr.get());
-    }
-    if (stmt.where) roots.push_back(stmt.where.get());
-    for (const auto& j : stmt.joins) {
-      if (j.condition) roots.push_back(j.condition.get());
-    }
-    for (const auto& g : stmt.group_by) roots.push_back(g.get());
-    if (stmt.having) roots.push_back(stmt.having.get());
-    for (auto& rel : result.graph.rels) {
-      const Table* table = nullptr;
-      AIDB_ASSIGN_OR_RETURN(table, catalog_->GetTable(rel.table));
-      const auto& cols = table->schema().columns();
-      rel.used_columns.assign(cols.size(), star ? uint8_t{1} : uint8_t{0});
-      if (star) continue;
-      auto mark = [&](const std::string& tbl, const std::string& col) {
-        if (!tbl.empty() && tbl != rel.name) return;
-        for (size_t c = 0; c < cols.size(); ++c) {
-          if (cols[c].name == col) rel.used_columns[c] = 1;
-        }
-      };
-      std::function<void(const sql::Expr*)> walk = [&](const sql::Expr* e) {
-        if (e == nullptr) return;
-        if (e->kind == sql::Expr::Kind::kColumnRef) mark(e->table, e->column);
-        walk(e->lhs.get());
-        walk(e->rhs.get());
-        for (const auto& a : e->args) walk(a.get());
-      };
-      for (const sql::Expr* e : roots) walk(e);
-      // ORDER BY keys are raw [table.]column names.
-      for (const auto& key : stmt.order_by) {
-        std::string tbl, col = key.column;
-        auto dot = col.find('.');
-        if (dot != std::string::npos) {
-          tbl = col.substr(0, dot);
-          col = col.substr(dot + 1);
-        }
-        mark(tbl, col);
+  // column — over-approximate, never wrong. Row scans ignore the mask.
+  bool star = false;
+  for (const auto& item : stmt.items) star = star || item.is_star;
+  std::vector<const sql::Expr*> roots;
+  for (const auto& item : stmt.items) {
+    if (item.expr) roots.push_back(item.expr.get());
+  }
+  if (stmt.where) roots.push_back(stmt.where.get());
+  for (const auto& j : stmt.joins) {
+    if (j.condition) roots.push_back(j.condition.get());
+  }
+  for (const auto& g : stmt.group_by) roots.push_back(g.get());
+  if (stmt.having) roots.push_back(stmt.having.get());
+  for (auto& rel : result.graph.rels) {
+    const Table* table = nullptr;
+    AIDB_ASSIGN_OR_RETURN(table, catalog_->GetTable(rel.table));
+    const auto& cols = table->schema().columns();
+    rel.used_columns.assign(cols.size(), star ? uint8_t{1} : uint8_t{0});
+    if (star) continue;
+    auto mark = [&](const std::string& tbl, const std::string& col) {
+      if (!tbl.empty() && tbl != rel.name) return;
+      for (size_t c = 0; c < cols.size(); ++c) {
+        if (cols[c].name == col) rel.used_columns[c] = 1;
       }
+    };
+    std::function<void(const sql::Expr*)> walk = [&](const sql::Expr* e) {
+      if (e == nullptr) return;
+      if (e->kind == sql::Expr::Kind::kColumnRef) mark(e->table, e->column);
+      walk(e->lhs.get());
+      walk(e->rhs.get());
+      for (const auto& a : e->args) walk(a.get());
+    };
+    for (const sql::Expr* e : roots) walk(e);
+    // ORDER BY keys are raw [table.]column names.
+    for (const auto& key : stmt.order_by) {
+      std::string tbl, col = key.column;
+      auto dot = col.find('.');
+      if (dot != std::string::npos) {
+        tbl = col.substr(0, dot);
+        col = col.substr(dot + 1);
+      }
+      mark(tbl, col);
     }
   }
 
@@ -521,8 +493,8 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
 
   // Residual multi-relation predicates.
   for (const sql::Expr* p : residual) {
-    AIDB_ASSIGN_OR_RETURN(root, MakeFilter(std::move(root), *p, p->ToString(),
-                                           models_, opts.vectorized));
+    AIDB_ASSIGN_OR_RETURN(root,
+                          MakeFilter(std::move(root), *p, p->ToString(), models_));
   }
 
   // Aggregation.
@@ -571,13 +543,14 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
   }
 
   if (has_group) {
+    const bool batch = IsBatch(*root);
     std::vector<BoundExpr> keys;
-    std::vector<VecExpr> vec_keys;  // twins of keys, vectorized engine only
+    std::vector<VecExpr> vec_keys;  // twins of keys, over a batch input only
     std::vector<OutputCol> key_cols;
     for (const auto& g : stmt.group_by) {
       BoundExpr bound;
       AIDB_ASSIGN_OR_RETURN(bound, BoundExpr::Bind(*g, root->output(), models_));
-      if (opts.vectorized) {
+      if (batch) {
         VecExpr vec;
         AIDB_ASSIGN_OR_RETURN(vec, VecExpr::Bind(*g, root->output(), models_));
         vec_keys.push_back(std::move(vec));
@@ -599,7 +572,7 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
         BoundExpr bound;
         AIDB_ASSIGN_OR_RETURN(bound, BoundExpr::Bind(*a->lhs, root->output(), models_));
         spec.arg = std::move(bound);
-        if (opts.vectorized) {
+        if (batch) {
           AIDB_ASSIGN_OR_RETURN(varg, VecExpr::Bind(*a->lhs, root->output(), models_));
         }
       }
@@ -618,7 +591,7 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
         AIDB_ASSIGN_OR_RETURN(bound,
                               BoundExpr::Bind(*aggs[a]->lhs, root->output(), models_));
         spec.arg = std::move(bound);
-        if (opts.vectorized) {
+        if (batch) {
           AIDB_ASSIGN_OR_RETURN(varg,
                                 VecExpr::Bind(*aggs[a]->lhs, root->output(), models_));
         }
@@ -633,20 +606,10 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
       }
     }
 
-    // When the input is exactly a gather (single parallel-scanned relation),
-    // aggregate inside the workers instead: take over the morsel source and
-    // let each worker fold its morsels into a partial group map. A vectorized
-    // plan never hits this — its scans are not GatherOps.
-    auto* gather = dynamic_cast<GatherOp*>(root.get());
-    if (opts.vectorized) {
+    if (batch) {
       root = std::make_unique<VecHashAggregateOp>(
           std::move(root), std::move(vec_keys), std::move(keys),
           std::move(key_cols), std::move(specs), std::move(vec_args));
-    } else if (gather != nullptr && ParallelEnabled(opts)) {
-      ParallelContext ctx = gather->ctx();
-      root = std::make_unique<ParallelHashAggregateOp>(
-          gather->TakeSource(), std::move(keys), std::move(key_cols),
-          std::move(specs), ctx);
     } else {
       root = std::make_unique<HashAggregateOp>(
           std::move(root), std::move(keys), std::move(key_cols), std::move(specs));
@@ -671,11 +634,11 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
       replace(rewritten);
       AIDB_ASSIGN_OR_RETURN(
           root, MakeFilter(std::move(root), *rewritten,
-                           "HAVING " + stmt.having->ToString(), models_,
-                           opts.vectorized));
+                           "HAVING " + stmt.having->ToString(), models_));
     }
 
-    // Rewrite select items over the aggregate output.
+    // Rewrite select items over the aggregate output (a batch iff `batch`:
+    // the HAVING filter above follows its input's protocol).
     std::vector<BoundExpr> proj;
     std::vector<VecExpr> vec_proj;
     std::vector<OutputCol> proj_cols;
@@ -688,7 +651,7 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
       replace(rewritten);
       BoundExpr bound;
       AIDB_ASSIGN_OR_RETURN(bound, BoundExpr::Bind(*rewritten, root->output(), models_));
-      if (opts.vectorized) {
+      if (batch) {
         VecExpr vec;
         AIDB_ASSIGN_OR_RETURN(vec, VecExpr::Bind(*rewritten, root->output(), models_));
         vec_proj.push_back(std::move(vec));
@@ -701,7 +664,7 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
                               : "";
       proj_cols.push_back({table, ItemName(item, i), ValueType::kDouble});
     }
-    if (opts.vectorized) {
+    if (batch) {
       root = std::make_unique<VecProjectOp>(std::move(root), std::move(vec_proj),
                                             std::move(proj), std::move(proj_cols));
     } else {
@@ -712,6 +675,7 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
     // Plain projection (skipped entirely for a bare SELECT *).
     bool all_star = stmt.items.size() == 1 && stmt.items[0].is_star;
     if (!all_star) {
+      const bool batch = IsBatch(*root);
       std::vector<BoundExpr> proj;
       std::vector<VecExpr> vec_proj;
       std::vector<OutputCol> proj_cols;
@@ -725,7 +689,7 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
             col.column = root->output()[c].name;
             BoundExpr bound;
             AIDB_ASSIGN_OR_RETURN(bound, BoundExpr::Bind(col, root->output(), models_));
-            if (opts.vectorized) {
+            if (batch) {
               VecExpr vec;
               AIDB_ASSIGN_OR_RETURN(vec, VecExpr::Bind(col, root->output(), models_));
               vec_proj.push_back(std::move(vec));
@@ -738,7 +702,7 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
         BoundExpr bound;
         AIDB_ASSIGN_OR_RETURN(bound,
                               BoundExpr::Bind(*item.expr, root->output(), models_));
-        if (opts.vectorized) {
+        if (batch) {
           VecExpr vec;
           AIDB_ASSIGN_OR_RETURN(vec,
                                 VecExpr::Bind(*item.expr, root->output(), models_));
@@ -754,7 +718,7 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
         proj.push_back(std::move(bound));
         proj_cols.push_back({table, ItemName(item, i), type});
       }
-      if (opts.vectorized) {
+      if (batch) {
         root = std::make_unique<VecProjectOp>(std::move(root),
                                               std::move(vec_proj),
                                               std::move(proj),

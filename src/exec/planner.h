@@ -34,22 +34,24 @@ struct PlannerOptions {
   bool use_card_feedback = false;
 
   /// Morsel-driven parallelism (the `dop` session knob): with dop > 1 and a
-  /// pool, the planner emits ParallelScan / ParallelHashJoin /
-  /// ParallelHashAggregate variants — but only where the base-table
-  /// cardinality clears `parallel_threshold_rows`, since morsel dispatch
-  /// overhead swamps the win on small inputs.
+  /// pool, the batch engine's table scans become VecParallelScan — but only
+  /// where the base-table cardinality clears `parallel_threshold_rows`, since
+  /// morsel dispatch overhead swamps the win on small inputs.
   size_t dop = 1;
   ThreadPool* exec_pool = nullptr;
   size_t parallel_threshold_rows = 8192;
 
-  /// Batch-at-a-time execution (the `vectorized` session knob): scans,
-  /// filters, projections, hash joins and hash aggregations are emitted as
-  /// their Vec* variants, moving ~1K-row column batches instead of tuples.
-  /// Index scans and the order-sensitive operators (Sort, Distinct, Limit,
-  /// nested-loop join) stay row-at-a-time; the batch operators drain into
-  /// them transparently. Off by default so the row engine remains the oracle
-  /// the vectorized engine is differentially tested against.
-  bool vectorized = false;
+  /// The batch engine, the one production executor: table scans without a
+  /// usable index become VecScan / VecParallelScan with every local
+  /// predicate fused in, and the filters, projections, hash joins and hash
+  /// aggregations above a batch input take their Vec* variants, moving
+  /// ~1K-row column batches instead of tuples. Index scans and everything
+  /// above them, and the order-sensitive operators (Sort, Distinct, Limit,
+  /// nested-loop join), stay row-at-a-time; batch operators drain into them
+  /// transparently. False selects the serial volcano engine, kept only as
+  /// the reference the batch engine is differentially tested against
+  /// (Database::SetVectorized); it ignores dop. Only BuildScan reads this.
+  bool vectorized = true;
 
   /// Slot-major column mirrors for vectorized scans (see ColumnCache).
   /// Owned by the Database; null disables mirroring, and the scans fall

@@ -308,11 +308,16 @@ void BuildScanBatch(
 /// return is the deferred error: b is already truncated to the rows the
 /// scalar engine would have emitted first, and the Status is recovered by
 /// running the scalar filter chain on the failing row — byte-equal text.
+/// Adds to *work the rows a SeqScan+Filter chain would have produced below
+/// its last filter: the batch's visible rows and each non-final filter's
+/// survivors (the final survivors are the scan's own rows_produced).
 Status ApplyFusedFilters(const std::vector<VecExpr>& filters,
                          const std::vector<BoundExpr>& scalar_filters, Batch* b,
-                         std::vector<uint32_t>* sel_scratch) {
+                         std::vector<uint32_t>* sel_scratch, size_t* work) {
   size_t pending = SIZE_MAX;
-  for (const auto& f : filters) {
+  if (!filters.empty()) *work += b->ActiveCount();
+  for (size_t i = 0; i < filters.size(); ++i) {
+    const VecExpr& f = filters[i];
     if (!TryFusedCompare(f, b, sel_scratch)) {
       VecColumn scratch;
       const VecColumn& pred = f.EvalRef(*b, &scratch);
@@ -320,6 +325,7 @@ Status ApplyFusedFilters(const std::vector<VecExpr>& filters,
     }
     // No survivors: the scalar engine would never evaluate later filters.
     if (b->sel.empty()) break;
+    if (i + 1 < filters.size()) *work += b->sel.size();
   }
   if (pending == SIZE_MAX) return Status::OK();
   Tuple row = b->MaterializeRow(static_cast<uint32_t>(pending));
@@ -522,7 +528,8 @@ bool VecScanOp::NextBatchImpl(Batch* out) {
     BuildScanBatch(*table_, snap_, begin, out, &scratch_live_, &scratch_rows_,
                    &scratch_dicts_, active_cols_, src);
     if (out->rows == 0) continue;
-    Status s = ApplyFusedFilters(filters_, scalar_filters_, out, &scratch_sel_);
+    Status s = ApplyFusedFilters(filters_, scalar_filters_, out, &scratch_sel_,
+                                 &fused_work_);
     size_t active = out->ActiveCount();
     if (!s.ok()) {
       if (active == 0) return Fail(std::move(s));
@@ -573,6 +580,7 @@ void VecParallelScanOp::VecOpenImpl() {
   size_t n = (slots + kMorselRows - 1) / kMorselRows;
   morsels_.assign(n, {});
   worker_rows_.assign(ctx_.WorkersFor(n), 0);
+  std::vector<size_t> worker_work(worker_rows_.size(), 0);
   // Resolve mirrors once, before dispatch: workers read the shared vectors
   // concurrently but never write them.
   ResolveMirrors(cache_, *table_, snap_, active_cols_, &cached_cols_,
@@ -581,7 +589,8 @@ void VecParallelScanOp::VecOpenImpl() {
   // the one the serial scan would hit first.
   std::vector<Status> morsel_status(n);
   DispatchMorsels(ctx_, n, cancel_,
-                  [this, slots, &morsel_status](size_t w, size_t m) {
+                  [this, slots, &morsel_status, &worker_work](size_t w,
+                                                              size_t m) {
     std::vector<RowId> live;
     std::vector<const Tuple*> rows;
     std::vector<std::unordered_map<std::string, int32_t>> dicts;
@@ -596,9 +605,11 @@ void VecParallelScanOp::VecOpenImpl() {
       BuildScanBatch(*table_, snap_, b, &batch, &live, &rows, &dicts,
                      active_cols_, src);
       if (batch.rows == 0) continue;
-      Status s = ApplyFusedFilters(filters_, scalar_filters_, &batch, &sel_scratch);
+      // Distinct w per task: worker_work and worker_rows_ see no shared writes.
+      Status s = ApplyFusedFilters(filters_, scalar_filters_, &batch,
+                                   &sel_scratch, &worker_work[w]);
       size_t active = batch.ActiveCount();
-      worker_rows_[w] += active;  // distinct w per task: no shared writes
+      worker_rows_[w] += active;
       if (active > 0) morsels_[m].push_back(std::move(batch));
       if (!s.ok()) {
         morsel_status[m] = std::move(s);
@@ -606,6 +617,7 @@ void VecParallelScanOp::VecOpenImpl() {
       }
     }
   });
+  for (size_t work : worker_work) fused_work_ += work;
   if (IsCancelled()) {
     Fail(Status::Cancelled("query cancelled during parallel scan"));
     morsels_.clear();

@@ -96,7 +96,6 @@ void Service::RegisterSessionsView() {
                  {"errors", ValueType::kInt},
                  {"cache_hits", ValueType::kInt},
                  {"dop", ValueType::kInt},
-                 {"vectorized", ValueType::kInt},
                  {"timeout_ms", ValueType::kDouble}});
   Status st = db_->catalog().RegisterSystemView(
       "aidb_sessions", std::move(schema),
@@ -117,7 +116,6 @@ void Service::RegisterSessionsView() {
                 Value(static_cast<int64_t>(
                     s->cache_hits.load(std::memory_order_relaxed))),
                 Value(static_cast<int64_t>(s->dop())),
-                Value(static_cast<int64_t>(s->vectorized() ? 1 : 0)),
                 Value(s->statement_timeout_ms())});
         }
       });

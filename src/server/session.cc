@@ -26,16 +26,6 @@ size_t Session::dop() const {
   return settings_.planner.dop;
 }
 
-void Session::set_vectorized(bool on) {
-  std::lock_guard<std::mutex> lock(mu_);
-  settings_.planner.vectorized = on;
-}
-
-bool Session::vectorized() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return settings_.planner.vectorized;
-}
-
 void Session::set_use_indexes(bool on) {
   std::lock_guard<std::mutex> lock(mu_);
   settings_.planner.use_indexes = on;

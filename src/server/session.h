@@ -33,8 +33,6 @@ class Session {
   // --- knobs (all session-local) --------------------------------------
   void set_dop(size_t dop);
   size_t dop() const;
-  void set_vectorized(bool on);
-  bool vectorized() const;
   void set_use_indexes(bool on);
   void set_use_card_feedback(bool on);
   /// 0 disables the per-statement deadline.

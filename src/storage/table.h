@@ -93,7 +93,7 @@ class ColdTier {
 ///    commits against each other.
 ///
 /// The legacy non-transactional API (Insert/Update/Delete/IsLive/RowAt/
-/// ForEach/ScanRange) is preserved with "latest committed state" semantics:
+/// ForEach) is preserved with "latest committed state" semantics:
 /// bootstrap writes stamp txn::kBootstrapTs, so recovery replay, snapshot
 /// restore and direct-API tests behave exactly as the single-version store
 /// did.
@@ -224,35 +224,21 @@ class Table {
     return (NumSlots() + kRowsPerPage - 1) / kRowsPerPage;
   }
 
-  /// Invokes fn(id, row) for every row visible to `snap`.
+  /// Invokes fn(id, row) for every row visible to `snap`. Safe against
+  /// concurrent committers.
   template <typename Fn>
   void ForEachVisible(const txn::Snapshot& snap, Fn&& fn) const {
-    ScanRangeVisible(0, NumSlots(), snap, std::forward<Fn>(fn));
+    const RowId limit = NumSlots();
+    for (RowId id = 0; id < limit; ++id) {
+      const Version* v = VisibleVersion(id, snap);
+      if (v != nullptr) fn(id, v->data);
+    }
   }
 
   /// Invokes fn(id, row) for every latest-committed live row.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     ForEachVisible(txn::Snapshot{}, std::forward<Fn>(fn));
-  }
-
-  /// Invokes fn(id, row) for rows visible to `snap` with id in [begin, end)
-  /// — the morsel primitive of the parallel executor. Concurrent calls over
-  /// any ranges are safe, including against concurrent committers.
-  template <typename Fn>
-  void ScanRangeVisible(RowId begin, RowId end, const txn::Snapshot& snap,
-                        Fn&& fn) const {
-    RowId limit = std::min<RowId>(end, NumSlots());
-    for (RowId id = begin; id < limit; ++id) {
-      const Version* v = VisibleVersion(id, snap);
-      if (v != nullptr) fn(id, v->data);
-    }
-  }
-
-  /// Latest-committed ScanRangeVisible.
-  template <typename Fn>
-  void ScanRange(RowId begin, RowId end, Fn&& fn) const {
-    ScanRangeVisible(begin, end, txn::Snapshot{}, std::forward<Fn>(fn));
   }
 
   // --- MVCC bookkeeping ----------------------------------------------------

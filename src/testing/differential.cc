@@ -97,14 +97,6 @@ std::string DigestResult(const Result<QueryResult>& r) {
   return out;
 }
 
-bool VectorizedFuzzDefault() {
-  static const bool on = [] {
-    const char* env = std::getenv("AIDB_FUZZ_VECTORIZED");
-    return env != nullptr && std::atol(env) != 0;
-  }();
-  return on;
-}
-
 bool SpansFuzzDefault() {
   static const bool on = [] {
     const char* env = std::getenv("AIDB_FUZZ_SPANS");
@@ -152,8 +144,7 @@ WorkloadTrace RunWorkload(const std::vector<std::string>& workload, size_t dop,
 }
 
 WorkloadTrace RunWorkloadLsm(const std::vector<std::string>& workload,
-                             size_t dop, const std::string& dir,
-                             bool vectorized) {
+                             size_t dop, const std::string& dir) {
   std::filesystem::remove_all(dir);
   WorkloadTrace trace;
   DurabilityOptions opts;
@@ -173,7 +164,6 @@ WorkloadTrace RunWorkloadLsm(const std::vector<std::string>& workload,
   }
   auto db = std::move(opened).ValueOrDie();
   db->SetDop(dop);
-  db->SetVectorized(vectorized);
   db->EnableTracing(true);
   db->SetDeterministicTiming(true);
   db->EnableSpans(SpansFuzzDefault());
@@ -201,10 +191,9 @@ WorkloadTrace RunWorkloadLsm(const std::vector<std::string>& workload,
 }
 
 WorkloadTrace RunWorkloadPrepared(const std::vector<std::string>& workload,
-                                  size_t dop, bool vectorized) {
+                                  size_t dop) {
   Database db;
   db.SetDop(dop);
-  db.SetVectorized(vectorized);
   db.EnableTracing(true);
   db.SetDeterministicTiming(true);
   db.EnableSpans(SpansFuzzDefault());
@@ -478,7 +467,7 @@ void SetupConcurrentSchema(Database* db, size_t num_sessions) {
 }  // namespace
 
 Divergence RunConcurrentTxnLeg(uint64_t seed, size_t num_sessions,
-                               ConcurrentTxnReport* report, bool vectorized) {
+                               ConcurrentTxnReport* report) {
   const auto scripts = GenTxnScripts(seed, num_sessions);
 
   // Under AIDB_FUZZ_LSM the concurrent run happens on a durable LSM-backed
@@ -519,7 +508,6 @@ Divergence RunConcurrentTxnLeg(uint64_t seed, size_t num_sessions,
 
   Database mem;
   Database& db = durable != nullptr ? *durable : mem;
-  db.SetVectorized(vectorized);
   db.EnableTracing(true);
   db.SetDeterministicTiming(true);
   SetupConcurrentSchema(&db, num_sessions);
@@ -593,7 +581,6 @@ Divergence RunConcurrentTxnLeg(uint64_t seed, size_t num_sessions,
             });
 
   Database replay;
-  replay.SetVectorized(vectorized);
   replay.EnableTracing(true);
   replay.SetDeterministicTiming(true);
   SetupConcurrentSchema(&replay, num_sessions);

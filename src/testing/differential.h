@@ -31,13 +31,6 @@ struct WorkloadTrace {
   std::string state_digest;  ///< storage::StateDigest after the last statement
 };
 
-/// True when AIDB_FUZZ_VECTORIZED is set to a non-zero value: the default
-/// engine for the in-memory fuzz legs below becomes the vectorized executor,
-/// so the whole existing suite (serial-vs-parallel, prepared routing, crash
-/// recovery — whose durable leg always runs the row engine) re-runs as a
-/// vectorized-vs-volcano differential without any test changes.
-bool VectorizedFuzzDefault();
-
 /// True when AIDB_FUZZ_SPANS is set to a non-zero value: the in-memory fuzz
 /// legs run with the end-to-end span collector enabled, so any span-induced
 /// nondeterminism (an id leaking into results, span recording perturbing
@@ -53,10 +46,10 @@ bool SpansFuzzDefault();
 /// compaction writes without any test changes.
 bool LsmFuzzDefault();
 
-/// Runs the workload on a fresh in-memory database at the given dop,
-/// on the vectorized or the row (volcano) engine.
+/// Runs the workload on a fresh in-memory database at the given dop, on the
+/// production batch engine or (vectorized=false) the volcano reference.
 WorkloadTrace RunWorkload(const std::vector<std::string>& workload, size_t dop,
-                          bool vectorized = VectorizedFuzzDefault());
+                          bool vectorized = true);
 
 /// \brief The LSM-engine leg of the differential oracle.
 ///
@@ -68,8 +61,7 @@ WorkloadTrace RunWorkload(const std::vector<std::string>& workload, size_t dop,
 /// the final StateDigest. The directory is recreated on entry and removed on
 /// exit.
 WorkloadTrace RunWorkloadLsm(const std::vector<std::string>& workload,
-                             size_t dop, const std::string& dir,
-                             bool vectorized = VectorizedFuzzDefault());
+                             size_t dop, const std::string& dir);
 
 /// \brief The prepared-statement leg of the differential oracle.
 ///
@@ -81,8 +73,7 @@ WorkloadTrace RunWorkloadLsm(const std::vector<std::string>& workload,
 /// clone, parameter binding, plan cache) is observationally equivalent to
 /// parse-and-plan-per-call.
 WorkloadTrace RunWorkloadPrepared(const std::vector<std::string>& workload,
-                                  size_t dop,
-                                  bool vectorized = VectorizedFuzzDefault());
+                                  size_t dop);
 
 /// Outcome of one differential comparison; detail names the first mismatch.
 struct Divergence {
@@ -147,7 +138,6 @@ struct ConcurrentTxnReport {
 /// unwound), which is itself part of the check: a half-undone abort diverges
 /// the final state digest.
 Divergence RunConcurrentTxnLeg(uint64_t seed, size_t num_sessions,
-                               ConcurrentTxnReport* report = nullptr,
-                               bool vectorized = VectorizedFuzzDefault());
+                               ConcurrentTxnReport* report = nullptr);
 
 }  // namespace aidb::testing

@@ -6,6 +6,13 @@
 
 namespace aidb::txn {
 
+TransactionManager::~TransactionManager() {
+  for (const Retired& r : retired_) {
+    if (r.dispose) r.dispose();
+    delete r.v;
+  }
+}
+
 void TransactionManager::set_metrics(monitor::MetricsRegistry* metrics) {
   begins_ = metrics != nullptr ? metrics->GetCounter("txn.begins") : nullptr;
   commits_ = metrics != nullptr ? metrics->GetCounter("txn.commits") : nullptr;

@@ -92,12 +92,10 @@ class TransactionManager {
   };
 
   TransactionManager() = default;
-  ~TransactionManager() {
-    for (const Retired& r : retired_) {
-      if (r.dispose) r.dispose();
-      delete r.v;
-    }
-  }
+  /// Runs the disposals and frees the versions still on the retire list.
+  /// Defined out of line, where aidb::Version is complete, so deleting a
+  /// retired version runs its destructor.
+  ~TransactionManager();
 
   /// Wires txn.* counters/gauges; also forwards to the wrapped LockManager.
   /// Pointers are cached — the registry must outlive this object.

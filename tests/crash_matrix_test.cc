@@ -387,10 +387,15 @@ TEST_F(CrashMatrixTest, DoubleCrashDuringRecoveryWindowStaysConsistent) {
     ASSERT_TRUE(first.crashed());
   }
   FaultInjector second(32);
-  second.ArmCrash(5, FaultKind::kCorruptByte);
   {
     auto db = Database::Open(dir_, Opts(&second)).ValueOrDie();
     uint64_t committed = db->last_recovery().next_txn_id - 1;
+    // The first recovery keeps at most the statements that ran plus the one
+    // in flight when the crash hit, and restores exactly that oracle prefix.
+    ASSERT_LE(committed, ran_first + 1);
+    EXPECT_EQ(storage::StateDigest(db->catalog(), db->models()),
+              OracleDigest(script, committed));
+    second.ArmCrash(second.points_seen() + 5, FaultKind::kCorruptByte);
     RunUntilCrash(db.get(),
                   std::vector<std::string>(script.begin() + committed, script.end()));
     ASSERT_TRUE(second.crashed());

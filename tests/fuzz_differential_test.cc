@@ -123,12 +123,11 @@ TEST(FuzzDifferential, PreparedRouteWorkloads) {
 }
 
 // ---------------------------------------------------------------------------
-// Leg 6: every workload run on the row (volcano) engine and on the vectorized
-// batch engine — serially and at dop=8 — must produce byte-identical
-// per-statement digests, including which statements fail and with what error
-// text. The volcano leg pins `vectorized=false` explicitly so this comparison
-// stays volcano-vs-vectorized even under AIDB_FUZZ_VECTORIZED=1 (where the
-// other suites' default legs all go vectorized).
+// Leg 6: every workload run on the serial volcano reference engine and on the
+// production batch engine — serially and at dop=8 — must produce
+// byte-identical per-statement digests, including which statements fail and
+// with what error text. Every other leg runs the batch engine; this one pins
+// the reference with `vectorized=false`.
 // ---------------------------------------------------------------------------
 
 TEST(FuzzDifferential, VectorizedVsVolcanoWorkloads) {

@@ -85,7 +85,7 @@ TEST_F(ObservabilityTest, ExplainReturnsPlanRows) {
   ASSERT_FALSE(r.rows.empty());
   // The same text flows through both channels, one line per row.
   EXPECT_EQ(JoinedRows(r), r.message);
-  EXPECT_NE(r.message.find("SeqScan"), std::string::npos) << r.message;
+  EXPECT_NE(r.message.find("VecScan"), std::string::npos) << r.message;
 }
 
 TEST_F(ObservabilityTest, ExplainRendersJoinOrder) {

@@ -9,7 +9,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "exec/database.h"
-#include "exec/parallel.h"
+#include "exec/vec/vec_ops.h"
 
 namespace aidb {
 namespace {
@@ -77,14 +77,14 @@ TEST_F(ParallelExecTest, PlannerGatesOnDopAndCardinality) {
   SeedTable("small", 100, 2);
 
   db_.SetDop(8);
-  EXPECT_NE(Run("EXPLAIN SELECT * FROM big").message.find("ParallelScan"),
+  EXPECT_NE(Run("EXPLAIN SELECT * FROM big").message.find("VecParallelScan"),
             std::string::npos);
   // Small tables stay serial: morsel dispatch would only add overhead.
-  EXPECT_EQ(Run("EXPLAIN SELECT * FROM small").message.find("ParallelScan"),
+  EXPECT_EQ(Run("EXPLAIN SELECT * FROM small").message.find("VecParallelScan"),
             std::string::npos);
 
   db_.SetDop(1);
-  EXPECT_EQ(Run("EXPLAIN SELECT * FROM big").message.find("ParallelScan"),
+  EXPECT_EQ(Run("EXPLAIN SELECT * FROM big").message.find("VecParallelScan"),
             std::string::npos);
 }
 
@@ -95,7 +95,7 @@ TEST_F(ParallelExecTest, ScanPreservesSerialOrder) {
   db_.SetDop(8);
   auto parallel = Run("SELECT * FROM t");
   ASSERT_EQ(serial.rows.size(), parallel.rows.size());
-  // Morsel buffers are emitted in morsel order, so even the row order
+  // Morsel batches are emitted in morsel order, so even the row order
   // matches the serial scan exactly.
   for (size_t i = 0; i < serial.rows.size(); ++i) {
     ASSERT_EQ(serial.rows[i].size(), parallel.rows[i].size());
@@ -120,12 +120,6 @@ TEST_F(ParallelExecTest, AggregateMatchesSerial) {
   ExpectSameResults("SELECT COUNT(*), SUM(val) FROM t");
   // Empty input to a no-group aggregate must still yield the zero-count row.
   ExpectSameResults("SELECT COUNT(*), SUM(val) FROM t WHERE val < 0");
-
-  db_.SetDop(8);
-  EXPECT_NE(Run("EXPLAIN SELECT grp, COUNT(*) FROM t GROUP BY grp")
-                .message.find("ParallelHashAggregate"),
-            std::string::npos);
-  db_.SetDop(1);
 }
 
 TEST_F(ParallelExecTest, JoinMatchesSerial) {
@@ -135,18 +129,13 @@ TEST_F(ParallelExecTest, JoinMatchesSerial) {
       "SELECT fact.id, dim.val FROM fact JOIN dim ON fact.grp = dim.grp "
       "WHERE dim.id < 64";
   ExpectSameResults(join);
-
-  db_.SetDop(8);
-  EXPECT_NE(Run("EXPLAIN " + join).message.find("ParallelHashJoin"),
-            std::string::npos);
-  db_.SetDop(1);
 }
 
 TEST_F(ParallelExecTest, JoinAboveGatherFeedsDownstreamOperators) {
   SeedTable("fact", 20000, 8);
   SeedTable("dim", 10000, 9);
-  // Join + aggregate + sort above the exchange: downstream operators must be
-  // oblivious to the parallel region beneath them.
+  // Join + aggregate + sort above the parallel scan: downstream operators
+  // must be oblivious to the parallel region beneath them.
   ExpectSameResults(
       "SELECT dim.grp, COUNT(*), SUM(fact.val) FROM fact "
       "JOIN dim ON fact.grp = dim.grp GROUP BY dim.grp ORDER BY dim.grp");
@@ -171,7 +160,7 @@ TEST_F(ParallelExecTest, SingleMorselTableAtHighDop) {
   SeedTable("tiny", 50, 10);  // one morsel; dop still 8
   db_.SetDop(8);
   db_.mutable_planner_options().parallel_threshold_rows = 1;
-  EXPECT_NE(Run("EXPLAIN SELECT * FROM tiny").message.find("ParallelScan"),
+  EXPECT_NE(Run("EXPLAIN SELECT * FROM tiny").message.find("VecParallelScan"),
             std::string::npos);
   EXPECT_EQ(Run("SELECT * FROM tiny").rows.size(), 50u);
   auto agg = Run("SELECT grp, COUNT(*) FROM tiny GROUP BY grp");
@@ -189,12 +178,12 @@ TEST_F(ParallelExecTest, DeletedRowsAreSkipped) {
   db_.SetDop(1);
 }
 
-TEST_F(ParallelExecTest, GatherOpDirect) {
-  SeedTable("t", 10000, 12);
+TEST_F(ParallelExecTest, VecParallelScanOpDirect) {
+  SeedTable("t", 10000, 12);  // five morsels
   const Table* t = std::move(db_.catalog().GetTable("t")).ValueOrDie();
   ThreadPool pool(8);
-  exec::ParallelContext ctx{&pool, 8};
-  exec::ParallelScanOp scan(t, "t", {}, {}, ctx);
+  exec::VecParallelScanOp scan(t, "t", {}, {}, {}, {}, nullptr,
+                               exec::ParallelContext{&pool, 8});
   scan.Open();
   Tuple row;
   size_t n = 0;
@@ -208,6 +197,11 @@ TEST_F(ParallelExecTest, GatherOpDirect) {
   scan.Close();
   EXPECT_EQ(n, 10000u);
   EXPECT_EQ(scan.rows_produced(), 10000u);
+  // Every worker's rows are accounted for, and they sum to the result.
+  ASSERT_GT(scan.worker_rows().size(), 1u);
+  uint64_t worker_sum = 0;
+  for (uint64_t w : scan.worker_rows()) worker_sum += w;
+  EXPECT_EQ(worker_sum, 10000u);
 }
 
 TEST_F(ParallelExecTest, TaskGroupRunsAllTasksAndInlineFallback) {
@@ -255,7 +249,7 @@ TEST_F(ParallelExecTest, SetDopIsIdempotentAndRevertible) {
   EXPECT_EQ(r.rows[0][0].AsInt(), 20000);
   db_.SetDop(0);  // back to serial
   EXPECT_EQ(db_.dop(), 1u);
-  EXPECT_EQ(Run("EXPLAIN SELECT * FROM t").message.find("Gather"),
+  EXPECT_EQ(Run("EXPLAIN SELECT * FROM t").message.find("VecParallelScan"),
             std::string::npos);
 }
 

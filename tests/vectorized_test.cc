@@ -64,14 +64,14 @@ class VectorizedExecTest : public ::testing::Test {
     return r.ok() ? std::move(r).ValueOrDie() : QueryResult{};
   }
 
-  /// Executes `sql` on the row engine and the vectorized engine and expects
-  /// identical rows in identical order.
+  /// Executes `sql` on the volcano reference engine and the default batch
+  /// engine and expects identical rows in identical order. Leaves the
+  /// database on the default engine.
   void ExpectSameResults(const std::string& sql) {
     db_.SetVectorized(false);
     auto volcano = Rendered(Run(sql));
     db_.SetVectorized(true);
     auto vec = Rendered(Run(sql));
-    db_.SetVectorized(false);
     EXPECT_EQ(volcano, vec) << sql;
   }
 
@@ -81,7 +81,6 @@ class VectorizedExecTest : public ::testing::Test {
     auto volcano = db_.Execute(sql);
     db_.SetVectorized(true);
     auto vec = db_.Execute(sql);
-    db_.SetVectorized(false);
     ASSERT_FALSE(volcano.ok()) << sql;
     ASSERT_FALSE(vec.ok()) << sql;
     EXPECT_EQ(volcano.status().ToString(), vec.status().ToString()) << sql;
@@ -94,7 +93,7 @@ TEST_F(VectorizedExecTest, PlannerEmitsVecOperatorsUnderKnob) {
   SeedTable("t", 20000, 1);
   SeedTable("d", 20000, 2);
 
-  db_.SetVectorized(true);
+  // The batch engine is the default.
   EXPECT_NE(Run("EXPLAIN SELECT * FROM t WHERE val > 10").message.find("VecScan"),
             std::string::npos);
   EXPECT_NE(Run("EXPLAIN SELECT grp, COUNT(*) FROM t GROUP BY grp")
@@ -111,10 +110,16 @@ TEST_F(VectorizedExecTest, PlannerEmitsVecOperatorsUnderKnob) {
             std::string::npos);
   db_.SetDop(1);
 
-  // Knob off: the row engine is untouched.
+  // Switched off: the volcano reference engine plans no batch operator,
+  // and stays serial whatever the dop.
   db_.SetVectorized(false);
   EXPECT_EQ(Run("EXPLAIN SELECT * FROM t").message.find("Vec"),
             std::string::npos);
+  db_.SetDop(8);
+  EXPECT_EQ(Run("EXPLAIN SELECT grp, COUNT(*) FROM t GROUP BY grp")
+                .message.find("Vec"),
+            std::string::npos);
+  db_.SetDop(1);
 }
 
 TEST_F(VectorizedExecTest, ScanFilterProjectMatchesRowEngine) {
@@ -158,7 +163,6 @@ TEST_F(VectorizedExecTest, AggregationMatchesRowEngine) {
 TEST_F(VectorizedExecTest, EmptyTableAggregateYieldsZeroCountRow) {
   Schema schema({{"id", ValueType::kInt}, {"val", ValueType::kDouble}});
   ASSERT_TRUE(db_.catalog().CreateTable("empty", schema).ok());
-  db_.SetVectorized(true);
   EXPECT_EQ(Run("SELECT * FROM empty").rows.size(), 0u);
   auto agg = Run("SELECT COUNT(*), SUM(val), MAX(val) FROM empty");
   ASSERT_EQ(agg.rows.size(), 1u);
@@ -216,11 +220,9 @@ TEST_F(VectorizedExecTest, Int64OverflowMidBatchMatchesRowEngineError) {
 
   // LIMIT below the error row: the consumer stops pulling before the failing
   // row, so no error surfaces — identical to the row engine.
-  db_.SetVectorized(true);
   auto limited = db_.Execute("SELECT big + 10 FROM ovf LIMIT 100");
   EXPECT_TRUE(limited.ok()) << limited.status().ToString();
   EXPECT_EQ(limited.ValueOrDie().rows.size(), 100u);
-  db_.SetVectorized(false);
 }
 
 TEST_F(VectorizedExecTest, TypeErrorsMatchRowEngine) {
@@ -232,7 +234,6 @@ TEST_F(VectorizedExecTest, TypeErrorsMatchRowEngine) {
 
 TEST_F(VectorizedExecTest, ParallelVectorizedScanMatchesSerial) {
   SeedTable("t", 50000, 11);
-  db_.SetVectorized(true);
   db_.SetDop(1);
   auto serial = Rendered(Run("SELECT id, val FROM t WHERE val > 500"));
   auto serial_agg =
@@ -242,34 +243,97 @@ TEST_F(VectorizedExecTest, ParallelVectorizedScanMatchesSerial) {
   EXPECT_EQ(serial_agg,
             Rendered(Run("SELECT grp, COUNT(*), SUM(val) FROM t GROUP BY grp")));
   db_.SetDop(1);
-  db_.SetVectorized(false);
 }
 
 TEST_F(VectorizedExecTest, DeletedRowsAreSkipped) {
   SeedTable("t", 20000, 12);
   Run("DELETE FROM t WHERE grp = 5");
   ExpectSameResults("SELECT grp, COUNT(*) FROM t GROUP BY grp");
-  db_.SetVectorized(true);
   EXPECT_EQ(Run("SELECT id FROM t WHERE grp = 5").rows.size(), 0u);
-  db_.SetVectorized(false);
 }
 
 TEST_F(VectorizedExecTest, IndexScansStayRowBased) {
   SeedTable("t", 20000, 13);
   Run("CREATE INDEX t_id ON t (id)");
   ASSERT_TRUE(db_.Execute("ANALYZE t").ok());
-  db_.SetVectorized(true);
-  // A selective indexable predicate keeps the row-based index scan; the
-  // projection above it is still vectorized and drains the row child.
-  auto plan = Run("EXPLAIN SELECT id, val FROM t WHERE id = 17");
-  EXPECT_NE(plan.message.find("IndexScan"), std::string::npos) << plan.message;
-  db_.SetVectorized(false);
+  // A selective indexable predicate keeps the row-based index scan, and
+  // every operator above a row input stays row-at-a-time: an indexed point
+  // read pays no batch round trip.
+  for (const char* sql : {"EXPLAIN SELECT id, val FROM t WHERE id = 17",
+                          "EXPLAIN SELECT id, val * 2 FROM t WHERE id = 17 "
+                          "AND grp > 3",
+                          "EXPLAIN SELECT COUNT(*) FROM t WHERE id = 17"}) {
+    auto plan = Run(sql);
+    EXPECT_NE(plan.message.find("IndexScan"), std::string::npos) << plan.message;
+    EXPECT_EQ(plan.message.find("Vec"), std::string::npos) << plan.message;
+  }
   ExpectSameResults("SELECT id, val FROM t WHERE id = 17");
+}
+
+TEST_F(VectorizedExecTest, OperatorWorkMatchesReferenceEngine) {
+  // operator_work has one definition across engines: a fused batch scan adds
+  // each batch's visible rows and each non-final filter's survivors, which
+  // is what the reference engine's SeqScan+Filter chain produces. For fully
+  // drained SELECTs on the row store the totals are therefore equal at every
+  // dop, and whatever is scored by executed work (the admission classifier,
+  // Neo-lite, the index advisor's measured win) reads the same number.
+  SeedTable("t", 20000, 30);
+  SeedTable("d", 5000, 31);
+  // The analytics benchmark's tables, scaled down: fact rows reference one
+  // of 256 dim rows.
+  Schema fact_schema({{"id", ValueType::kInt},
+                      {"dim_id", ValueType::kInt},
+                      {"a", ValueType::kInt},
+                      {"b", ValueType::kDouble},
+                      {"c", ValueType::kInt}});
+  Table* fact = std::move(db_.catalog().CreateTable("fact", fact_schema)).ValueOrDie();
+  Table* dim = std::move(db_.catalog().CreateTable(
+                             "dim", Schema({{"id", ValueType::kInt},
+                                            {"grp", ValueType::kInt}})))
+                   .ValueOrDie();
+  Rng rng(32);
+  for (int64_t i = 0; i < 20000; ++i) {
+    ASSERT_TRUE(fact->Insert({Value(i), Value(rng.UniformInt(0, 255)),
+                              Value(rng.UniformInt(0, 999)),
+                              Value(rng.UniformDouble(0.0, 100.0)),
+                              Value(rng.UniformInt(0, 49))})
+                    .ok());
+  }
+  for (int64_t i = 0; i < 256; ++i) {
+    ASSERT_TRUE(dim->Insert({Value(i), Value(i % 16)}).ok());
+  }
+
+  const std::vector<std::string> queries = {
+      "SELECT * FROM t",
+      "SELECT id, val FROM t WHERE val > 500",
+      "SELECT id FROM t WHERE val > 200 AND grp < 20 AND tag = 'red'",
+      "SELECT grp, COUNT(*), SUM(val) FROM t WHERE val > 100 GROUP BY grp "
+      "HAVING COUNT(*) > 10",
+      "SELECT t.id, d.val FROM t JOIN d ON t.grp = d.grp "
+      "WHERE d.id < 64 AND t.val > 900",
+      // The four analytics report shapes: scan_agg, group_agg, join_agg and
+      // topk (its LIMIT sits above a Sort that drains the scan).
+      "SELECT COUNT(*), SUM(b) FROM fact WHERE a < 400",
+      "SELECT c, COUNT(*), SUM(b) FROM fact WHERE a < 600 GROUP BY c",
+      "SELECT dim.grp, COUNT(*), SUM(fact.b) FROM fact JOIN dim ON "
+      "fact.dim_id = dim.id WHERE fact.a < 500 GROUP BY dim.grp",
+      "SELECT id, b FROM fact WHERE c = 7 ORDER BY b DESC, id LIMIT 10",
+  };
+  for (const auto& sql : queries) {
+    db_.SetVectorized(false);
+    const size_t reference = Run(sql).operator_work;
+    EXPECT_GT(reference, 0u) << sql;
+    db_.SetVectorized(true);
+    for (size_t dop : {1, 8}) {
+      db_.SetDop(dop);
+      EXPECT_EQ(Run(sql).operator_work, reference) << sql << " at dop " << dop;
+    }
+    db_.SetDop(1);
+  }
 }
 
 TEST_F(VectorizedExecTest, ExplainAnalyzeTracesBatchOperators) {
   SeedTable("t", 20000, 14);
-  db_.SetVectorized(true);
   auto r = Run("EXPLAIN ANALYZE SELECT grp, COUNT(*) FROM t WHERE val > 500 "
                "GROUP BY grp");
   // Batch operators surface in the same trace format; rows= counts real rows,
@@ -277,46 +341,38 @@ TEST_F(VectorizedExecTest, ExplainAnalyzeTracesBatchOperators) {
   EXPECT_NE(r.message.find("VecScan"), std::string::npos) << r.message;
   EXPECT_NE(r.message.find("VecHashAggregate"), std::string::npos) << r.message;
   EXPECT_NE(r.message.find("rows="), std::string::npos) << r.message;
-  db_.SetVectorized(false);
 }
 
 TEST_F(VectorizedExecTest, PlanCacheFingerprintSeparatesEngines) {
-  exec::PlannerOptions row_engine;
-  exec::PlannerOptions vec_engine;
-  vec_engine.vectorized = true;
-  // A cached volcano plan must never be served to a vectorized session (or
-  // vice versa): the knob is part of the plan-cache key.
-  EXPECT_NE(server::KnobFingerprint(row_engine),
-            server::KnobFingerprint(vec_engine));
+  exec::PlannerOptions batch_engine;
+  exec::PlannerOptions reference_engine;
+  reference_engine.vectorized = false;
+  // A cached volcano plan must never be served on the batch engine (or vice
+  // versa): the engine switch is part of the plan-cache key.
+  EXPECT_NE(server::KnobFingerprint(batch_engine),
+            server::KnobFingerprint(reference_engine));
 }
 
-TEST_F(VectorizedExecTest, SessionKnobIsSessionLocal) {
+TEST_F(VectorizedExecTest, SessionsPlanOnTheBatchEngine) {
   Database db;
   ASSERT_TRUE(db.Execute("CREATE TABLE pts (id INT, val DOUBLE)").ok());
   ASSERT_TRUE(db.Execute("INSERT INTO pts VALUES (1, 0.5), (2, 1.5)").ok());
   server::Service service(&db, {.workers = 2});
+  // A session starts from the database's settings: the batch engine.
   auto s1 = service.OpenSession();
-  auto s2 = service.OpenSession();
-  s1->set_vectorized(true);
-  EXPECT_TRUE(s1->vectorized());
-  EXPECT_FALSE(s2->vectorized());
-  EXPECT_FALSE(db.vectorized());  // global default untouched
-
   auto r = service.Execute(s1->id(), "EXPLAIN SELECT val FROM pts WHERE id = 1");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_NE(r.ValueOrDie().message.find("VecScan"), std::string::npos);
+
+  // The engine switch is database-wide and reaches sessions opened after it.
+  db.SetVectorized(false);
+  auto s2 = service.OpenSession();
   r = service.Execute(s2->id(), "EXPLAIN SELECT val FROM pts WHERE id = 1");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.ValueOrDie().message.find("VecScan"), std::string::npos);
-
-  // The aidb_sessions view reports the knob.
-  r = service.Execute(s2->id(),
-                      "SELECT id, vectorized FROM aidb_sessions ORDER BY id");
+  EXPECT_EQ(r.ValueOrDie().message.find("Vec"), std::string::npos);
+  r = service.Execute(s1->id(), "EXPLAIN SELECT val FROM pts WHERE id = 1");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const auto& rows = r.ValueOrDie().rows;
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0][1].AsInt(), 1);
-  EXPECT_EQ(rows[1][1].AsInt(), 0);
+  EXPECT_NE(r.ValueOrDie().message.find("VecScan"), std::string::npos);
 }
 
 TEST_F(VectorizedExecTest, DeadlineCancelsAtBatchBoundary) {
@@ -336,7 +392,6 @@ TEST_F(VectorizedExecTest, DeadlineCancelsAtBatchBoundary) {
   }
   server::Service service(&db, {.workers = 1});
   auto s = service.OpenSession();
-  s->set_vectorized(true);
   s->set_statement_timeout_ms(10.0);
   auto r = service.Execute(
       s->id(), "SELECT big1.id FROM big1 JOIN big2 ON big1.k = big2.k");
@@ -424,7 +479,6 @@ TEST_F(VectorizedExecTest, ReadYourWritesThroughMirroredScan) {
   // not per table). 6000 rows keeps the table above ColumnCache::kMinSlots
   // so the vectorized scan actually resolves mirrors.
   SeedTable("ryw", 6000, 21);
-  db_.SetVectorized(true);
   Run("SELECT SUM(grp), COUNT(*) FROM ryw");  // primes mirrors + liveness
 
   std::atomic<uint64_t> slot_a{0}, slot_b{0};
@@ -465,7 +519,6 @@ TEST_F(VectorizedExecTest, ReadYourWritesThroughMirroredScan) {
   EXPECT_EQ(count_in(sb, "SELECT COUNT(*) FROM ryw WHERE grp = 999"), 1);
   EXPECT_EQ(count_in(sb, "SELECT COUNT(*) FROM ryw WHERE id = 7"), 0);
   EXPECT_EQ(count_in(sb, "SELECT COUNT(*) FROM ryw"), 5999);
-  db_.SetVectorized(false);
 }
 
 TEST_F(VectorizedExecTest, BatchDrainRespectsSelectionVectors) {
