@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "common/timer.h"
-#include "sql/lexer.h"
 #include "sql/params.h"
 #include "sql/parser.h"
 #include "storage/engine/lsm_engine.h"
@@ -53,13 +52,13 @@ bool ExprHasPredict(const sql::Expr* e) {
   return false;
 }
 
-/// Plan-cache key: normalized SQL + type-tagged argument values + planner
-/// knob fingerprint. Args are type-tagged because Value::ToString renders 1
-/// and '1' too similarly to trust for keying.
-std::string PlanCacheKey(const std::string& normalized_sql,
+/// Plan-cache key: canonical statement text + type-tagged argument values +
+/// planner knob fingerprint. Args are type-tagged because Value::ToString
+/// renders 1 and '1' too similarly to trust for keying.
+std::string PlanCacheKey(const std::string& canonical_sql,
                          const std::vector<Value>& args,
                          const exec::PlannerOptions& opts) {
-  std::string key = normalized_sql;
+  std::string key = canonical_sql;
   key += "|a:";
   for (const Value& v : args) {
     key += std::to_string(static_cast<int>(v.type()));
@@ -72,6 +71,59 @@ std::string PlanCacheKey(const std::string& normalized_sql,
                 static_cast<unsigned long long>(server::KnobFingerprint(opts)));
   key += buf;
   return key;
+}
+
+/// True when an instantiated statement is a SELECT whose plan may be cached:
+/// no EXPLAIN variant, no PREDICT calls (model retrains would invalidate the
+/// bound closures). The caller rules out system views, whose backing Table
+/// is replaced on refresh.
+bool CacheableSelect(const sql::Statement& s) {
+  if (s.kind() != sql::StatementKind::kSelect) return false;
+  const auto& stmt = static_cast<const sql::SelectStatement&>(s);
+  if (stmt.explain || stmt.explain_analyze) return false;
+  for (const auto& item : stmt.items) {
+    if (ExprHasPredict(item.expr.get())) return false;
+  }
+  for (const auto& j : stmt.joins) {
+    if (ExprHasPredict(j.condition.get())) return false;
+  }
+  if (ExprHasPredict(stmt.where.get())) return false;
+  for (const auto& g : stmt.group_by) {
+    if (ExprHasPredict(g.get())) return false;
+  }
+  return !ExprHasPredict(stmt.having.get());
+}
+
+/// The statement `stmt` runs: itself, or an EXECUTE's template body with the
+/// arguments bound (owned by `*bound`). `*key` receives a cacheable SELECT's
+/// plan-cache key and stays empty otherwise.
+Result<const sql::Statement*> Instantiate(const ResolvedStatement& stmt,
+                                          const exec::PlannerOptions& planner,
+                                          std::unique_ptr<sql::Statement>* bound,
+                                          std::string* key) {
+  // Both key texts are canonical token renderings from the one parse, so hit
+  // and miss paths key identically without re-lexing.
+  auto cacheable = [&stmt](const sql::Statement& s) {
+    return !stmt.reads_system_view && CacheableSelect(s);
+  };
+  const sql::Statement& parsed = *stmt.parsed.stmt;
+  if (parsed.kind() != sql::StatementKind::kExecute) {
+    if (cacheable(parsed)) *key = PlanCacheKey(stmt.parsed.canonical, {}, planner);
+    return &parsed;
+  }
+  const auto& e = static_cast<const sql::ExecuteStatement&>(parsed);
+  if (!stmt.tmpl) return Status::NotFound("prepared statement " + e.name);
+  if (static_cast<int>(e.args.size()) < stmt.tmpl->num_params) {
+    return Status::InvalidArgument(
+        "EXECUTE " + e.name + " needs " + std::to_string(stmt.tmpl->num_params) +
+        " argument(s), got " + std::to_string(e.args.size()));
+  }
+  // Clone (templates are shared and immutable) and splice the literal args
+  // over the $N placeholders.
+  *bound = stmt.tmpl->body->Clone();
+  AIDB_RETURN_NOT_OK(sql::BindParams(bound->get(), e.args));
+  if (cacheable(**bound)) *key = PlanCacheKey(stmt.tmpl->body_text, e.args, planner);
+  return bound->get();
 }
 
 std::string HexDigest(uint64_t digest) {
@@ -100,6 +152,32 @@ void RecordOpSpans(monitor::SpanCollector* spans, const exec::Operator& op,
   spans->Record(std::move(s));
   for (const auto& c : op.children()) RecordOpSpans(spans, *c, id);
 }
+
+/// Puts the statement in a trace while spans are on: it adopts the
+/// service-minted identity from `settings` or, for a bare Execute outside any
+/// request, mints a fresh trace, so standalone statements still yield a
+/// coherent tree. Restores the thread's previous context on destruction.
+struct TraceScope {
+  TraceScope(monitor::SpanCollector* spans, const ExecSettings& settings) {
+    if (!spans->enabled()) return;
+    monitor::SpanCollector::Context ctx = saved;
+    if (settings.trace_id != 0) {
+      ctx.trace_id = settings.trace_id;
+      ctx.parent_span = settings.parent_span;
+      ctx.session_id = settings.session_id;
+    } else if (ctx.trace_id == 0) {
+      ctx.trace_id = spans->NextId();
+      ctx.parent_span = 0;
+      ctx.session_id = settings.session_id;
+    }
+    monitor::SpanCollector::SetContext(ctx);
+  }
+  ~TraceScope() { monitor::SpanCollector::SetContext(saved); }
+  TraceScope(const TraceScope&) = delete;
+  TraceScope& operator=(const TraceScope&) = delete;
+
+  monitor::SpanCollector::Context saved = monitor::SpanCollector::GetContext();
+};
 
 }  // namespace
 
@@ -464,7 +542,7 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
 Status Database::EnableLsmStorage() {
   lsm_engine_ = std::make_unique<storage::LsmEngine>(
       dir_ + "/lsm", durability_opts_.lsm_design, &tm_,
-      durability_opts_.fault, &metrics_);
+      durability_opts_.fault, durability_opts_.sync, &metrics_);
   catalog_.SetTableHooks(
       [this](const std::string& name, Table* t) {
         lsm_engine_->AttachTable(name, t);
@@ -565,7 +643,8 @@ Status Database::Checkpoint() {
   meta.checkpoint_lsn = wal_->last_lsn();
   meta.next_txn_id = tm_.next_txn_id();
   AIDB_RETURN_NOT_OK(storage::Snapshot::Write(dir_, meta, catalog_, models_,
-                                              durability_opts_.fault)
+                                              durability_opts_.fault,
+                                              durability_opts_.sync)
                          .status());
   AIDB_RETURN_NOT_OK(wal_->ResetAfterCheckpoint());
   storage::Snapshot::RemoveOld(dir_, 2);
@@ -628,59 +707,60 @@ Result<QueryResult> Database::Execute(const std::string& sql) {
 
 Result<QueryResult> Database::Execute(const std::string& sql,
                                       const ExecSettings& settings) {
+  TraceScope trace(&spans_, settings);
+  Result<sql::ParsedStatement> parsed = [&] {
+    monitor::SpanScope parse_span(&spans_, "parse");
+    return sql::Parser::ParseKeyed(sql);
+  }();
+  AIDB_RETURN_NOT_OK(parsed.status());
+  return Execute(Resolve(std::move(parsed).ValueOrDie(), settings.prepared),
+                 settings);
+}
+
+ResolvedStatement Database::Resolve(
+    sql::ParsedStatement parsed, const server::PreparedStore* prepared) const {
+  ResolvedStatement r;
+  r.parsed = std::move(parsed);
+  if (r.parsed.stmt->kind() == sql::StatementKind::kExecute) {
+    const auto& e = static_cast<const sql::ExecuteStatement&>(*r.parsed.stmt);
+    auto tmpl = (prepared != nullptr ? prepared : &default_prepared_)->Get(e.name);
+    if (tmpl.ok()) r.tmpl = std::move(tmpl).ValueOrDie();
+  }
+  const sql::Statement* eff = r.effective();
+  if (eff != nullptr && eff->kind() == sql::StatementKind::kSelect) {
+    const auto& sel = static_cast<const sql::SelectStatement&>(*eff);
+    for (const auto& ref : sel.from) {
+      r.reads_system_view |= catalog_.IsSystemView(ref.table);
+    }
+    for (const auto& j : sel.joins) {
+      r.reads_system_view |= catalog_.IsSystemView(j.table.table);
+    }
+  }
+  return r;
+}
+
+Result<QueryResult> Database::Execute(const ResolvedStatement& stmt,
+                                      const ExecSettings& settings) {
   Timer timer;
   if (crashed()) return Status::Aborted("database crashed; reopen to recover");
-
-  // Trace identity for the end-to-end spans: adopt the service-minted id
-  // from the settings, or — for a bare Execute outside any request — mint a
-  // fresh trace so standalone statements still yield a coherent tree. The
-  // guard restores the thread's previous context on every return path.
-  struct TraceCtxGuard {
-    monitor::SpanCollector::Context saved = monitor::SpanCollector::GetContext();
-    ~TraceCtxGuard() { monitor::SpanCollector::SetContext(saved); }
-  } trace_guard;
-  if (spans_.enabled()) {
-    monitor::SpanCollector::Context ctx = trace_guard.saved;
-    if (settings.trace_id != 0) {
-      ctx.trace_id = settings.trace_id;
-      ctx.parent_span = settings.parent_span;
-      ctx.session_id = settings.session_id;
-    } else if (ctx.trace_id == 0) {
-      ctx.trace_id = spans_.NextId();
-      ctx.parent_span = 0;
-      ctx.session_id = settings.session_id;
-    }
-    monitor::SpanCollector::SetContext(ctx);
-  }
+  TraceScope trace(&spans_, settings);
   monitor::SpanScope exec_span(&spans_, "execute");
-
-  std::unique_ptr<sql::Statement> stmt;
-  {
-    monitor::SpanScope parse_span(&spans_, "parse");
-    AIDB_ASSIGN_OR_RETURN(stmt, sql::Parser::Parse(sql));
-  }
-  const size_t kind_slot = StatementKindSlot(*stmt);
+  const sql::Statement& parsed = *stmt.parsed.stmt;
+  const size_t kind_slot = StatementKindSlot(parsed);
   if (exec_span.active()) exec_span.set_detail(kStmtKindNames[kind_slot]);
 
   StmtPlanInfo plan_info;
-  AIDB_RETURN_NOT_OK(RefreshReferencedSystemViews(*stmt));
-
-  // Direct cacheable SELECTs key on the normalized statement text (EXECUTE
-  // builds its key from the template body instead, inside its branch).
-  std::string direct_key;
-  const std::string* direct_key_ptr = nullptr;
-  if (stmt->kind() == sql::StatementKind::kSelect &&
-      CacheableSelect(static_cast<const sql::SelectStatement&>(*stmt))) {
-    Result<std::string> normalized = sql::NormalizeSql(sql);
-    if (normalized.ok()) {
-      direct_key = PlanCacheKey(normalized.ValueOrDie(), {}, settings.planner);
-      direct_key_ptr = &direct_key;
-    }
-  }
-
   QueryResult result;
-  Status status =
-      ExecuteWithTxn(*stmt, settings, &plan_info, direct_key_ptr, &result);
+  std::unique_ptr<sql::Statement> bound;
+  std::string key;
+  Result<const sql::Statement*> run =
+      Instantiate(stmt, settings.planner, &bound, &key);
+  Status status = run.status();
+  if (status.ok()) status = RefreshReferencedSystemViews(*run.ValueOrDie());
+  if (status.ok()) {
+    status = ExecuteWithTxn(*run.ValueOrDie(), settings, &plan_info,
+                            key.empty() ? nullptr : &key, &result);
+  }
   double latency_us = timer.ElapsedMicros();
   result.elapsed_ms = deterministic_timing_ ? 0.0 : timer.ElapsedMillis();
   result.plan_cache_hit = plan_info.plan_cache_hit;
@@ -691,12 +771,12 @@ Result<QueryResult> Database::Execute(const std::string& sql,
   stmt_metrics_.per_kind[kind_slot]->Add();
   if (!status.ok()) stmt_metrics_.errors->Add();
   stmt_metrics_.latency_us->Observe(latency_us);
-  if (stmt->kind() == sql::StatementKind::kSelect) {
+  if (parsed.kind() == sql::StatementKind::kSelect) {
     stmt_metrics_.select_rows->Add(result.rows.size());
   }
 
   monitor::QueryLogEntry entry;
-  entry.sql = sql;
+  entry.sql = stmt.parsed.text;
   entry.kind = kStmtKindNames[kind_slot];
   entry.ok = status.ok();
   if (!status.ok()) entry.error = status.ToString();
@@ -717,28 +797,6 @@ Result<QueryResult> Database::Execute(const std::string& sql,
   }
   if (!status.ok()) return status;
   return result;
-}
-
-bool Database::CacheableSelect(const sql::SelectStatement& stmt) const {
-  if (stmt.explain || stmt.explain_analyze) return false;
-  for (const auto& ref : stmt.from) {
-    if (catalog_.IsSystemView(ref.table)) return false;
-  }
-  for (const auto& j : stmt.joins) {
-    if (catalog_.IsSystemView(j.table.table)) return false;
-  }
-  for (const auto& item : stmt.items) {
-    if (ExprHasPredict(item.expr.get())) return false;
-  }
-  for (const auto& j : stmt.joins) {
-    if (ExprHasPredict(j.condition.get())) return false;
-  }
-  if (ExprHasPredict(stmt.where.get())) return false;
-  for (const auto& g : stmt.group_by) {
-    if (ExprHasPredict(g.get())) return false;
-  }
-  if (ExprHasPredict(stmt.having.get())) return false;
-  return true;
 }
 
 bool Database::PlanStillValid(const server::CachedPlan& entry) const {
@@ -919,10 +977,9 @@ Status Database::MaybeAutoCheckpoint() {
 Status Database::ExecuteWithTxn(const sql::Statement& stmt,
                                 const ExecSettings& settings,
                                 StmtPlanInfo* info,
-                                const std::string* direct_select_key,
+                                const std::string* select_key,
                                 QueryResult* result) {
-  Status st =
-      ExecuteWithTxnFenced(stmt, settings, info, direct_select_key, result);
+  Status st = ExecuteWithTxnFenced(stmt, settings, info, select_key, result);
   if (!st.ok()) return st;
   // Checkpoint outside the fence: the statement above held it shared, and
   // Checkpoint needs it exclusive (no statement may append ops or commit
@@ -930,32 +987,10 @@ Status Database::ExecuteWithTxn(const sql::Statement& stmt,
   return MaybeAutoCheckpoint();
 }
 
-bool Database::ReadOnlyStatement(const sql::Statement& stmt,
-                                 const ExecSettings& settings) const {
-  switch (stmt.kind()) {
-    case sql::StatementKind::kSelect:  // includes EXPLAIN / EXPLAIN ANALYZE
-    case sql::StatementKind::kShowModels:
-      return true;
-    case sql::StatementKind::kExecute: {
-      // Templates can be DML: only an EXECUTE whose bound body is a SELECT is
-      // read-only. A missing template qualifies too — it fails name lookup
-      // before touching any state, on the same code path either way.
-      const auto& s = static_cast<const sql::ExecuteStatement&>(stmt);
-      const server::PreparedStore* store =
-          settings.prepared ? settings.prepared : &default_prepared_;
-      auto tmpl = store->Get(s.name);
-      if (!tmpl.ok()) return true;
-      return tmpl.ValueOrDie()->body->kind() == sql::StatementKind::kSelect;
-    }
-    default:
-      return false;
-  }
-}
-
 Status Database::ExecuteWithTxnFenced(const sql::Statement& stmt,
                                       const ExecSettings& settings,
                                       StmtPlanInfo* info,
-                                      const std::string* direct_select_key,
+                                      const std::string* select_key,
                                       QueryResult* result) {
   // Statements run concurrently (the service serializes only DDL-class
   // work); the fence gives Checkpoint a point where no statement is mid-way
@@ -1014,7 +1049,10 @@ Status Database::ExecuteWithTxnFenced(const sql::Statement& stmt,
     eff.txn = open;
     autocommit = false;
   } else {
-    if (ReadOnlyStatement(stmt, settings)) {
+    // An instantiated SELECT (EXPLAIN included; for an EXECUTE, its template
+    // body) or SHOW MODELS cannot write MVCC state, WAL, or catalog.
+    if (stmt.kind() == sql::StatementKind::kSelect ||
+        stmt.kind() == sql::StatementKind::kShowModels) {
       // Autocommit read: nothing to commit, no undo, no WAL — skip the
       // Begin/Forget round trips through the transaction registry and pin a
       // latest-committed snapshot through the lock-free epoch slots instead.
@@ -1023,7 +1061,7 @@ Status Database::ExecuteWithTxnFenced(const sql::Statement& stmt,
       txn::ReadPin pin(&tm_);
       eff.txn = txn::kInvalidTxnId;
       eff.snapshot = pin.snapshot();
-      return ExecuteStatement(stmt, eff, info, direct_select_key, result);
+      return ExecuteStatement(stmt, eff, info, select_key, result);
     }
     // Every other statement runs inside a transaction: the registration pins
     // the snapshot against vacuum for the whole chain-walking window, and DML
@@ -1033,7 +1071,7 @@ Status Database::ExecuteWithTxnFenced(const sql::Statement& stmt,
   eff.snapshot = tm_.SnapshotFor(eff.txn);
   const size_t mark = autocommit ? 0 : tm_.UndoSize(eff.txn);
 
-  Status st = ExecuteStatement(stmt, eff, info, direct_select_key, result);
+  Status st = ExecuteStatement(stmt, eff, info, select_key, result);
 
   if (autocommit) {
     if (st.ok()) st = FinishCommit(eff.txn, result);
@@ -1056,7 +1094,7 @@ Status Database::ExecuteWithTxnFenced(const sql::Statement& stmt,
 Status Database::ExecuteStatement(const sql::Statement& stmt_ref,
                                   const ExecSettings& settings,
                                   StmtPlanInfo* info,
-                                  const std::string* direct_select_key,
+                                  const std::string* select_key,
                                   QueryResult* result_out) {
   QueryResult& result = *result_out;
   const sql::Statement* stmt = &stmt_ref;
@@ -1072,7 +1110,7 @@ Status Database::ExecuteStatement(const sql::Statement& stmt_ref,
     case sql::StatementKind::kSelect: {
       AIDB_ASSIGN_OR_RETURN(
           result, ExecuteSelect(static_cast<const sql::SelectStatement&>(*stmt),
-                                settings, info, direct_select_key));
+                                settings, info, select_key));
       break;
     }
     case sql::StatementKind::kCreateTable: {
@@ -1374,51 +1412,15 @@ Status Database::ExecuteStatement(const sql::Statement& stmt_ref,
       result.message = "DEALLOCATE " + s.name;
       break;
     }
-    case sql::StatementKind::kExecute: {
-      auto& s = static_cast<const sql::ExecuteStatement&>(*stmt);
-      server::PreparedStore* store =
-          settings.prepared ? settings.prepared : &default_prepared_;
-      std::shared_ptr<const sql::PrepareStatement> tmpl;
-      AIDB_ASSIGN_OR_RETURN(tmpl, store->Get(s.name));
-      if (static_cast<int>(s.args.size()) < tmpl->num_params) {
-        return Status::InvalidArgument(
-            "EXECUTE " + s.name + " needs " + std::to_string(tmpl->num_params) +
-            " argument(s), got " + std::to_string(s.args.size()));
-      }
-      // The EXECUTE statement itself references no tables; the body does.
-      AIDB_RETURN_NOT_OK(RefreshReferencedSystemViews(*tmpl->body));
-      // Instantiate the template: clone (templates are shared and immutable)
-      // and splice the literal args over the $N placeholders.
-      std::unique_ptr<sql::Statement> bound = tmpl->body->Clone();
-      AIDB_RETURN_NOT_OK(sql::BindParams(bound.get(), s.args));
-      if (bound->kind() == sql::StatementKind::kSelect) {
-        const auto& sel = static_cast<const sql::SelectStatement&>(*bound);
-        std::string key;
-        const std::string* key_ptr = nullptr;
-        if (CacheableSelect(sel)) {
-          // body_text is already the canonical token rendering, so hit and
-          // miss paths key identically without re-lexing.
-          key = PlanCacheKey(tmpl->body_text, s.args, settings.planner);
-          key_ptr = &key;
-        }
-        AIDB_ASSIGN_OR_RETURN(result,
-                              ExecuteSelect(sel, settings, info, key_ptr));
-      } else {
-        // Non-SELECT template (INSERT/UPDATE/DELETE/...): dispatch the bound
-        // statement through the normal switch. EXECUTE returns the inner
-        // result unchanged so prepared and direct paths digest identically.
-        AIDB_RETURN_NOT_OK(
-            ExecuteStatement(*bound, settings, info, nullptr, &result));
-      }
-      break;
-    }
+    case sql::StatementKind::kExecute:
     case sql::StatementKind::kBegin:
     case sql::StatementKind::kCommit:
     case sql::StatementKind::kRollback:
-      // Handled by ExecuteWithTxn before dispatch (and PREPARE rejects
-      // transaction-control bodies, so EXECUTE cannot reach here either).
+      // Instantiate replaces EXECUTE by its bound template body, and
+      // ExecuteWithTxn handles transaction control before dispatch (PREPARE
+      // rejects both as bodies).
       return Status::Internal(
-          "transaction control reached the statement dispatcher");
+          "EXECUTE or transaction control reached the statement dispatcher");
   }
   return Status::OK();
 }

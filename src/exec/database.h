@@ -23,6 +23,7 @@
 #include "monitor/span.h"
 #include "server/plan_cache.h"
 #include "server/prepared.h"
+#include "sql/parser.h"
 #include "storage/lsm.h"
 #include "storage/recovery.h"
 #include "storage/wal.h"
@@ -44,8 +45,10 @@ struct DurabilityOptions {
   /// Automatic checkpoint after this many WAL records since the last one
   /// (0 = manual Checkpoint() only). Advisor knob `checkpoint_interval`.
   size_t checkpoint_every_n_records = 0;
-  /// Skip physical fsyncs (stats still count them) — for benches and the
-  /// knob environment, where the response comes from deterministic counters.
+  /// Skip the physical fsyncs of the WAL, SSTs, the LSM manifest and
+  /// checkpoint snapshots (WAL stats still count them) — for tests, benches
+  /// and the knob environment, where the response comes from deterministic
+  /// counters and crash damage is simulated.
   bool sync = true;
   /// Crash-injection hook for the recovery test harness; not owned.
   storage::FaultInjector* fault = nullptr;
@@ -125,6 +128,28 @@ struct ExecSettings {
   uint64_t parent_span = 0;
 };
 
+/// \brief A parsed statement's effective form (Database::Resolve): an
+/// EXECUTE resolved by its parsed name to its template. The service's lane
+/// and engine-lock rules, the read-only fast path and EXECUTE itself all read
+/// this one resolution, so they agree on the template.
+struct ResolvedStatement {
+  sql::ParsedStatement parsed;
+  /// An EXECUTE's template; null for any other statement or an unknown name.
+  std::shared_ptr<const sql::PrepareStatement> tmpl;
+  bool reads_system_view = false;  ///< the effective SELECT scans an aidb_* view
+
+  /// The statement that runs: the parsed one or an EXECUTE's template body
+  /// (null for an unknown name).
+  const sql::Statement* effective() const {
+    if (parsed.stmt->kind() != sql::StatementKind::kExecute) {
+      return parsed.stmt.get();
+    }
+    return tmpl ? tmpl->body.get() : nullptr;
+  }
+  /// The literal-free shape of an effective SELECT: the classifier's key.
+  uint64_t shape() const { return tmpl ? tmpl->shape : parsed.shape; }
+};
+
 /// \brief The embeddable AIDB engine facade: parse -> plan -> execute.
 ///
 /// Owns the catalog and the DB4AI model registry. Learned optimizer
@@ -149,11 +174,18 @@ class Database {
   /// planner options (the pre-server behavior).
   Result<QueryResult> Execute(const std::string& sql);
 
-  /// Executes one SQL statement under explicit per-statement settings. This
-  /// is the server's entry point: the settings carry the session's knob
-  /// snapshot, cancel flag, session id, and prepared-statement scope.
+  /// Executes one SQL statement under explicit per-statement settings (knob
+  /// snapshot, cancel flag, session id, prepared-statement scope): a parse,
+  /// then the entry below.
   Result<QueryResult> Execute(const std::string& sql,
                               const ExecSettings& settings);
+  /// Executes a statement already parsed and resolved: the server's entry
+  /// point (Service::Submit parses at admission), timed without the parse.
+  Result<QueryResult> Execute(const ResolvedStatement& stmt,
+                              const ExecSettings& settings);
+  /// Resolves against a prepared-statement scope (null: the global store).
+  ResolvedStatement Resolve(sql::ParsedStatement parsed,
+                            const server::PreparedStore* prepared) const;
 
   /// Snapshot of the current database-global execution settings.
   ExecSettings SnapshotSettings() const {
@@ -226,7 +258,6 @@ class Database {
 
   /// Last-N executed statements; also served by `aidb_query_log`.
   const monitor::QueryLog& query_log() const { return query_log_; }
-  monitor::QueryLog& mutable_query_log() { return query_log_; }
 
   /// Query-log ring size (advisor knob `query_log_capacity`); overwritten
   /// entries are counted in the `query_log.dropped` metric.
@@ -353,22 +384,16 @@ class Database {
   Status RunSelectPlan(exec::PhysicalPlan& plan,
                        const sql::SelectStatement& stmt,
                        const ExecSettings& settings, QueryResult* result);
-  /// True when a SELECT's plan may be cached: no EXPLAIN variant, no system
-  /// views (their backing Table is replaced on refresh), no PREDICT calls
-  /// (model retrains would invalidate the bound closures).
-  bool CacheableSelect(const sql::SelectStatement& stmt) const;
   /// Validity check for a checked-out cache entry against current DDL and
   /// feedback epochs.
   bool PlanStillValid(const server::CachedPlan& entry) const;
   void BumpTableEpoch(const std::string& table);
-  /// The statement dispatch switch; Execute wraps it with telemetry so
-  /// failures are metered and logged too. `direct_select_key` carries the
-  /// plan-cache key for a directly-executed cacheable SELECT (null
-  /// otherwise; EXECUTE builds its own key from the template body).
+  /// The statement dispatch switch over an instantiated statement; Execute
+  /// wraps it with telemetry so failures are metered and logged too.
+  /// `select_key` carries a cacheable SELECT's plan-cache key (else null).
   Status ExecuteStatement(const sql::Statement& stmt,
                           const ExecSettings& settings, StmtPlanInfo* info,
-                          const std::string* direct_select_key,
-                          QueryResult* result);
+                          const std::string* select_key, QueryResult* result);
   /// Transaction orchestration around ExecuteStatement: handles
   /// BEGIN/COMMIT/ROLLBACK, wraps every other statement in its session's open
   /// transaction or a fresh autocommit one, and maps statement failure to
@@ -376,19 +401,13 @@ class Database {
   /// (write-write conflict / WAL failure).
   Status ExecuteWithTxn(const sql::Statement& stmt,
                         const ExecSettings& settings, StmtPlanInfo* info,
-                        const std::string* direct_select_key,
-                        QueryResult* result);
+                        const std::string* select_key, QueryResult* result);
   /// The body of ExecuteWithTxn, run while holding checkpoint_fence_ shared;
   /// the wrapper checkpoints after the fence is released.
   Status ExecuteWithTxnFenced(const sql::Statement& stmt,
                               const ExecSettings& settings, StmtPlanInfo* info,
-                              const std::string* direct_select_key,
+                              const std::string* select_key,
                               QueryResult* result);
-  /// True when the statement cannot write MVCC state, WAL, or catalog —
-  /// eligible for the autocommit pinned-read fast path (no transaction).
-  /// EXECUTE resolves its prepared template's kind through the session store.
-  bool ReadOnlyStatement(const sql::Statement& stmt,
-                         const ExecSettings& settings) const;
   /// Commits `t`: read-only transactions are simply forgotten (no commit
   /// timestamp, no WAL record); writers append kCommit through the commit
   /// hook. On success stores the commit timestamp into `result`.

@@ -1,62 +1,31 @@
 #include "server/classifier.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 
 #include "monitor/feedback.h"
-#include "sql/lexer.h"
+#include "sql/parser.h"
 
 namespace aidb::server {
 
 namespace {
 
-std::string UpperCopy(const std::string& s) {
-  std::string out(s.size(), '\0');
-  std::transform(s.begin(), s.end(), out.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  return out;
-}
-
-bool Contains(const std::string& haystack, const char* needle) {
-  return haystack.find(needle) != std::string::npos;
+bool HasAggregate(const sql::Expr* e) {
+  if (e == nullptr) return false;
+  if (e->kind == sql::Expr::Kind::kAggregate) return true;
+  if (HasAggregate(e->lhs.get()) || HasAggregate(e->rhs.get())) return true;
+  for (const auto& a : e->args) {
+    if (HasAggregate(a.get())) return true;
+  }
+  return false;
 }
 
 }  // namespace
 
-SqlFacts ExtractSqlFacts(const std::string& sql) {
-  SqlFacts f;
-  std::string u = UpperCopy(sql);
-  // Leading keyword, skipping whitespace and a possible EXPLAIN prefix.
-  size_t i = u.find_first_not_of(" \t\r\n");
-  std::string head = i == std::string::npos ? "" : u.substr(i, 16);
-  f.is_select = head.rfind("SELECT", 0) == 0 || head.rfind("EXPLAIN", 0) == 0;
-  f.has_join = Contains(u, " JOIN ");
-  f.has_group_by = Contains(u, "GROUP BY");
-  f.has_order_by = Contains(u, "ORDER BY");
-  f.has_limit = Contains(u, " LIMIT ");
-  f.has_aggregate = Contains(u, "COUNT(") || Contains(u, "SUM(") ||
-                    Contains(u, "AVG(") || Contains(u, "MIN(") ||
-                    Contains(u, "MAX(") || Contains(u, "COUNT (") ||
-                    Contains(u, "SUM (") || Contains(u, "AVG (");
-  return f;
-}
-
-uint64_t SqlShapeDigest(const std::string& sql) {
-  std::string norm = sql;
-  if (auto r = sql::NormalizeSql(sql); r.ok()) norm = r.ValueOrDie();
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : norm) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-void QueryClassifier::Record(uint64_t digest, double cost) {
+void QueryClassifier::Record(uint64_t shape, double cost) {
   if (cost < 0.0) cost = 0.0;
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = ewma_.emplace(digest, cost);
+  auto [it, inserted] = ewma_.emplace(shape, cost);
   if (!inserted) {
     it->second = opts_.ewma_alpha * cost + (1.0 - opts_.ewma_alpha) * it->second;
   }
@@ -90,36 +59,41 @@ size_t QueryClassifier::known_digests() const {
   return ewma_.size();
 }
 
-QueryClass QueryClassifier::Classify(uint64_t digest,
-                                     const SqlFacts& facts) const {
+QueryClass QueryClassifier::Classify(uint64_t shape,
+                                     const sql::Statement* stmt) const {
+  // Writes and DDL are "heavy" by construction: writes hold row locks and
+  // append to the WAL, DDL takes the exclusive engine lock — keeping both off
+  // the cheap lane protects point lookups from queueing behind them.
+  if (stmt == nullptr || stmt->kind() != sql::StatementKind::kSelect) {
+    return QueryClass::kHeavy;
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = ewma_.find(digest);
+  auto it = ewma_.find(shape);
   if (it != ewma_.end()) {
     return it->second > HeavyThresholdLocked() ? QueryClass::kHeavy
                                                : QueryClass::kCheap;
   }
-  // Cold start. Writes and DDL are "heavy" by construction: writes hold row
-  // locks and append to the WAL, DDL takes the exclusive engine lock —
-  // keeping both off the cheap lane protects point lookups from queueing
-  // behind them.
-  if (!facts.is_select) return QueryClass::kHeavy;
+  // Cold start: a prior read off the AST.
+  const auto& sel = static_cast<const sql::SelectStatement&>(*stmt);
+  const bool join = sel.from.size() > 1 || !sel.joins.empty();
+  const bool grouped = !sel.group_by.empty();
+  bool aggregate = HasAggregate(sel.having.get());
+  for (const auto& item : sel.items) aggregate |= HasAggregate(item.expr.get());
   if (predictor_warm_ && warm_latency_scale_ > 0.0) {
-    // Sketch the unseen query's demand vector from syntax alone and ask the
+    // Sketch the unseen query's demand vector from its AST and ask the
     // warm-started perf predictor for a solo-latency estimate, on the same
     // scale as the log it was fitted to.
     monitor::WorkloadMix probe;
     monitor::ConcurrentQuery q;
-    q.demand = {facts.has_join ? 0.6 : 0.2,
-                facts.has_order_by || facts.has_group_by ? 0.5 : 0.2,
-                facts.has_aggregate ? 0.5 : 0.1, facts.has_join ? 0.4 : 0.05};
+    q.demand = {join ? 0.6 : 0.2,
+                !sel.order_by.empty() || grouped ? 0.5 : 0.2,
+                aggregate ? 0.5 : 0.1, join ? 0.4 : 0.05};
     q.solo_latency = warm_latency_scale_;
     probe.queries.push_back(std::move(q));
     double est = predictor_.Predict(probe);
     if (est > opts_.heavy_ratio * warm_latency_scale_) return QueryClass::kHeavy;
   }
-  if (facts.has_join || facts.has_group_by || facts.has_aggregate) {
-    return QueryClass::kHeavy;
-  }
+  if (join || grouped || aggregate) return QueryClass::kHeavy;
   return QueryClass::kCheap;
 }
 
@@ -136,9 +110,10 @@ size_t QueryClassifier::WarmFromQueryLog(
     // would drag the typical-cost estimate toward 0, flagging every real
     // scan as heavy. (Writes are routed to the heavy lane by kind anyway.)
     if (!e.ok || e.kind != "select") continue;
-    uint64_t digest = SqlShapeDigest(e.sql);
+    Result<sql::ParsedStatement> parsed = sql::Parser::ParseKeyed(e.sql);
+    if (!parsed.ok()) continue;
     double cost = static_cast<double>(e.work);
-    auto [it, inserted] = ewma_.emplace(digest, cost);
+    auto [it, inserted] = ewma_.emplace(parsed.ValueOrDie().shape, cost);
     if (!inserted) {
       it->second =
           opts_.ewma_alpha * cost + (1.0 - opts_.ewma_alpha) * it->second;

@@ -3,12 +3,12 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "monitor/perf_pred.h"
 #include "monitor/query_log.h"
+#include "sql/ast.h"
 
 namespace aidb::server {
 
@@ -17,33 +17,16 @@ namespace aidb::server {
 /// burst of analytics cannot starve point lookups.
 enum class QueryClass { kCheap, kHeavy };
 
-/// Cheap syntactic facts about a statement, extractable from the raw SQL
-/// text without planning it. Used for cold-start classification before any
-/// execution of that statement shape has been observed.
-struct SqlFacts {
-  bool is_select = false;
-  bool has_join = false;
-  bool has_group_by = false;
-  bool has_aggregate = false;
-  bool has_order_by = false;
-  bool has_limit = false;
-};
-
-/// Scans the raw SQL (case-insensitive keyword search) for the facts above.
-SqlFacts ExtractSqlFacts(const std::string& sql);
-
-/// Stable digest of a statement's normalized text; the classifier's key.
-/// Statements differing only in whitespace/case of keywords share a digest.
-uint64_t SqlShapeDigest(const std::string& sql);
-
 /// \brief Learned cheap-vs-heavy classifier for admission scheduling.
 ///
-/// Per-digest EWMA of observed execution cost (operator work units) with a
-/// threshold adapted to the global cost distribution. Unknown digests fall
-/// back to a syntactic prior, optionally sharpened by the PR-4 graph perf
-/// predictor warm-started from the engine query log: the predictor maps a
-/// demand sketch derived from the syntactic facts to an expected latency,
-/// which is compared against the observed latency scale of the log.
+/// Per-shape EWMA of observed execution cost (operator work units) with a
+/// threshold adapted to the global cost distribution. The key is a SELECT's
+/// literal-free shape digest (sql::ShapeDigest), so the state grows with the
+/// number of shapes, not texts. Unknown shapes fall back to a prior read off
+/// the statement's AST, optionally sharpened by the graph perf predictor
+/// warm-started from the engine query log: the predictor maps a demand
+/// sketch derived from the AST to an expected latency, which is compared
+/// against the observed latency scale of the log.
 class QueryClassifier {
  public:
   struct Options {
@@ -56,16 +39,18 @@ class QueryClassifier {
   QueryClassifier() : QueryClassifier(Options()) {}
   explicit QueryClassifier(const Options& opts) : opts_(opts) {}
 
-  /// Records the observed cost of one completed statement.
-  void Record(uint64_t digest, double cost);
+  /// Records the observed cost of one completed SELECT of shape `shape`.
+  void Record(uint64_t shape, double cost);
 
-  /// Classifies a statement: EWMA when the digest has been seen, syntactic
-  /// prior (+ perf-predictor estimate when warmed) otherwise.
-  QueryClass Classify(uint64_t digest, const SqlFacts& facts) const;
+  /// Classifies a statement by its effective form `stmt` (an EXECUTE's
+  /// template body; null when none resolved): anything but a SELECT is
+  /// heavy; a SELECT by its shape's EWMA when seen, otherwise by its AST's
+  /// prior (+ perf-predictor estimate when warmed).
+  QueryClass Classify(uint64_t shape, const sql::Statement* stmt) const;
 
-  /// Seeds per-digest EWMAs from the query log and fits the graph perf
-  /// predictor on it (monitor::FitFromQueryLog). Returns the number of log
-  /// entries absorbed into EWMAs.
+  /// Seeds per-shape EWMAs from the query log's SELECTs and fits the graph
+  /// perf predictor on it (monitor::FitFromQueryLog). Returns the number of
+  /// log entries absorbed into EWMAs.
   size_t WarmFromQueryLog(const std::vector<monitor::QueryLogEntry>& entries);
 
   /// Current heavy threshold (test/observability hook).

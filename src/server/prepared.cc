@@ -1,7 +1,5 @@
 #include "server/prepared.h"
 
-#include <algorithm>
-
 namespace aidb::server {
 
 Status PreparedStore::Put(std::shared_ptr<const sql::PrepareStatement> stmt) {
@@ -31,22 +29,6 @@ Status PreparedStore::Remove(const std::string& name) {
     return Status::NotFound("prepared statement " + name);
   }
   return Status::OK();
-}
-
-std::vector<std::string> PreparedStore::Names() const {
-  std::vector<std::string> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(map_.size());
-    for (const auto& [name, stmt] : map_) out.push_back(name);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-size_t PreparedStore::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return map_.size();
 }
 
 }  // namespace aidb::server

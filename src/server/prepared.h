@@ -4,7 +4,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/result.h"
 #include "sql/ast.h"
@@ -30,11 +29,6 @@ class PreparedStore {
 
   /// Removes `name` (NotFound when absent).
   Status Remove(const std::string& name);
-
-  /// Registered template names, sorted (for aidb_sessions observability).
-  std::vector<std::string> Names() const;
-
-  size_t size() const;
 
  private:
   mutable std::mutex mu_;

@@ -1,40 +1,31 @@
 #include "server/service.h"
 
 #include <algorithm>
-#include <cctype>
 #include <vector>
 
 #include "monitor/span.h"
+#include "sql/parser.h"
 #include "storage/schema.h"
 
 namespace aidb::server {
 
-namespace {
-
-/// First bare keyword of the statement, uppercased.
-std::string HeadKeyword(const std::string& sql) {
-  size_t i = 0;
-  while (i < sql.size() && std::isspace(static_cast<unsigned char>(sql[i]))) {
-    ++i;
+bool TakesSharedLock(const ResolvedStatement& stmt) {
+  const sql::Statement* s = stmt.effective();
+  if (s == nullptr) return true;
+  if (stmt.reads_system_view) return false;
+  switch (s->kind()) {
+    case sql::StatementKind::kCreateTable:
+    case sql::StatementKind::kDropTable:
+    case sql::StatementKind::kCreateIndex:
+    case sql::StatementKind::kDropIndex:
+    case sql::StatementKind::kAnalyze:
+    case sql::StatementKind::kCreateModel:
+    case sql::StatementKind::kShowModels:
+      return false;
+    default:
+      return true;
   }
-  std::string word;
-  while (i < sql.size() && std::isalpha(static_cast<unsigned char>(sql[i]))) {
-    word.push_back(
-        static_cast<char>(std::toupper(static_cast<unsigned char>(sql[i]))));
-    ++i;
-  }
-  return word;
 }
-
-bool MentionsSystemView(const std::string& sql) {
-  std::string u(sql.size(), '\0');
-  std::transform(sql.begin(), sql.end(), u.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return u.find("aidb_") != std::string::npos;
-}
-
-}  // namespace
 
 Service::Service(Database* db, ServiceOptions opts)
     : db_(db), opts_(opts) {
@@ -53,9 +44,7 @@ Service::Service(Database* db, ServiceOptions opts)
     slo_[i].target_us = m.GetGauge(prefix + "target_us");
     slo_[i].breach = m.GetGauge(prefix + "breach");
   }
-  if (opts_.warm_classifier_from_log) {
-    classifier_.WarmFromQueryLog(db_->query_log().Entries());
-  }
+  classifier_.WarmFromQueryLog(db_->query_log().Entries());
   RegisterSessionsView();
   workers_.reserve(opts_.workers);
   for (size_t i = 0; i < opts_.workers; ++i) {
@@ -133,7 +122,6 @@ Status Service::CloseSession(uint64_t session_id) {
 std::future<Result<QueryResult>> Service::Submit(uint64_t session_id,
                                                  std::string sql) {
   auto job = std::make_shared<Job>();
-  job->promise = std::promise<Result<QueryResult>>();
   std::future<Result<QueryResult>> fut = job->promise.get_future();
 
   job->session = sessions_.Get(session_id);
@@ -143,11 +131,29 @@ std::future<Result<QueryResult>> Service::Submit(uint64_t session_id,
     return fut;
   }
 
-  job->sql = std::move(sql);
-  job->facts = ExtractSqlFacts(job->sql);
-  job->digest = SqlShapeDigest(job->sql);
-  job->klass = opts_.classify ? classifier_.Classify(job->digest, job->facts)
-                              : QueryClass::kCheap;
+  if (db_->spans_enabled()) {
+    // Admission mints the request's trace identity; every span of this
+    // statement (parse, queue wait, and the engine's execute/plan/operators/
+    // commit/wal_flush) hangs off the root span recorded when it finishes.
+    job->trace_id = db_->spans().NextId();
+    job->root_span = db_->spans().NextId();
+    job->admitted_us = db_->spans().NowUs();
+  }
+
+  // The one parse of the statement: lane, engine lock and execution all read
+  // this AST.
+  Result<sql::ParsedStatement> parsed = sql::Parser::ParseKeyed(std::move(sql));
+  job->queued_us = RecordStageSpan(*job, "parse", job->admitted_us);
+  if (!parsed.ok()) {
+    job->session->statements.fetch_add(1, std::memory_order_relaxed);
+    job->session->errors.fetch_add(1, std::memory_order_relaxed);
+    RecordRequestSpan(*job, "parse_error");
+    job->promise.set_value(parsed.status());
+    return fut;
+  }
+  job->stmt = db_->Resolve(std::move(parsed).ValueOrDie(),
+                           job->session->prepared());
+  job->klass = classifier_.Classify(job->stmt.shape(), job->stmt.effective());
   job->enqueued = Clock::now();
   double timeout_ms = job->session->statement_timeout_ms();
   if (timeout_ms <= 0.0) timeout_ms = opts_.default_timeout_ms;
@@ -159,14 +165,6 @@ std::future<Result<QueryResult>> Service::Submit(uint64_t session_id,
     job->deadline = Clock::time_point::max();
   }
   job->cancel = std::make_shared<std::atomic<bool>>(false);
-  if (db_->spans_enabled()) {
-    // Admission mints the request's trace identity; every engine-side span
-    // of this statement (parse/plan/operators/commit/wal_flush) hangs off
-    // the root span recorded when the request finishes.
-    job->trace_id = db_->spans().NextId();
-    job->root_span = db_->spans().NextId();
-    job->admitted_us = db_->spans().NowUs();
-  }
 
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -213,69 +211,6 @@ void Service::Drain() {
   drain_cv_.wait(lock, [this] {
     return cheap_queue_.empty() && heavy_queue_.empty() && running_jobs_ == 0;
   });
-}
-
-bool Service::SharedEligible(const Job& job) const {
-  // System-view statements rebuild the view's backing table at refresh.
-  if (MentionsSystemView(job.sql)) return false;
-  std::string head = HeadKeyword(job.sql);
-  // EXPLAIN [ANALYZE] plans (and runs) its SELECT like the SELECT itself;
-  // operator timings stay in the statement's own plan.
-  if (head == "SELECT" || head == "EXPLAIN") return true;
-  if (head == "PREPARE" || head == "DEALLOCATE") return true;  // store-local
-  // DML and transaction control run concurrently with readers and with each
-  // other: MVCC snapshots isolate readers, per-index latches cover index
-  // maintenance, the WAL is thread-safe, and the engine's checkpoint fence
-  // gives snapshots a consistent cut. Readers never block behind writers.
-  if (head == "INSERT" || head == "UPDATE" || head == "DELETE") return true;
-  if (head == "BEGIN" || head == "COMMIT" || head == "ROLLBACK") return true;
-  if (head == "EXECUTE") {
-    // Shared only when the template body is itself a plain SELECT. A missing
-    // template is shared-safe too: it errors without touching engine state.
-    // (Session store only: Submit-path statements never see the DB-global
-    // fallback store.)
-    auto tmpl = job.session->prepared()->Get(
-        [&] {
-          // EXECUTE <name> [...]: second keyword-ish token is the name.
-          size_t i = 0;
-          const std::string& s = job.sql;
-          while (i < s.size() &&
-                 std::isspace(static_cast<unsigned char>(s[i]))) {
-            ++i;
-          }
-          while (i < s.size() &&
-                 std::isalpha(static_cast<unsigned char>(s[i]))) {
-            ++i;
-          }
-          while (i < s.size() &&
-                 std::isspace(static_cast<unsigned char>(s[i]))) {
-            ++i;
-          }
-          size_t start = i;
-          while (i < s.size() &&
-                 (std::isalnum(static_cast<unsigned char>(s[i])) ||
-                  s[i] == '_')) {
-            ++i;
-          }
-          return s.substr(start, i - start);
-        }());
-    if (!tmpl.ok()) return true;
-    const sql::PrepareStatement& p = *tmpl.ValueOrDie();
-    if (MentionsSystemView(p.body_text)) return false;
-    switch (p.body->kind()) {
-      case sql::StatementKind::kSelect: {
-        const auto& sel = static_cast<const sql::SelectStatement&>(*p.body);
-        return !sel.explain && !sel.explain_analyze;
-      }
-      case sql::StatementKind::kInsert:
-      case sql::StatementKind::kUpdate:
-      case sql::StatementKind::kDelete:
-        return true;  // same footing as direct DML
-      default:
-        return false;  // DDL-class templates keep the exclusive lane
-    }
-  }
-  return false;
 }
 
 void Service::WorkerLoop(size_t worker_index) {
@@ -343,17 +278,7 @@ void Service::RunJob(Job& job) {
     return;
   }
 
-  if (job.trace_id != 0) {
-    monitor::Span qs;
-    qs.trace_id = job.trace_id;
-    qs.span_id = db_->spans().NextId();
-    qs.parent_id = job.root_span;
-    qs.name = "queue_wait";
-    qs.session_id = job.session->id();
-    qs.start_us = job.admitted_us;
-    qs.dur_us = db_->spans().NowUs() - job.admitted_us;
-    db_->spans().Record(std::move(qs));
-  }
+  RecordStageSpan(job, "queue_wait", job.queued_us);
 
   ExecSettings settings = job.session->SnapshotSettings();
   settings.cancel = job.cancel.get();
@@ -362,12 +287,12 @@ void Service::RunJob(Job& job) {
   settings.parent_span = job.root_span;
 
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    if (SharedEligible(job)) {
+    if (TakesSharedLock(job.stmt)) {
       std::shared_lock<std::shared_mutex> lock(db_mu_);
-      return db_->Execute(job.sql, settings);
+      return db_->Execute(job.stmt, settings);
     }
     std::unique_lock<std::shared_mutex> lock(db_mu_);
-    return db_->Execute(job.sql, settings);
+    return db_->Execute(job.stmt, settings);
   }();
   executed_.fetch_add(1, std::memory_order_relaxed);
 
@@ -388,9 +313,11 @@ void Service::RunJob(Job& job) {
       job.session->cache_hits.fetch_add(1, std::memory_order_relaxed);
     }
     // Only reads feed the cost model (writes are heavy-lane by kind, and
-    // their zero operator work would skew the typical-cost estimate).
-    if (job.facts.is_select) {
-      classifier_.Record(job.digest, static_cast<double>(r.operator_work));
+    // their zero operator work would skew the typical-cost estimate). A
+    // prepared read is a read: it learns under its template's shape.
+    const sql::Statement* eff = job.stmt.effective();
+    if (eff != nullptr && eff->kind() == sql::StatementKind::kSelect) {
+      classifier_.Record(job.stmt.shape(), static_cast<double>(r.operator_work));
     }
   } else {
     job.session->errors.fetch_add(1, std::memory_order_relaxed);
@@ -415,6 +342,22 @@ void Service::RecordRequestSpan(const Job& job, const char* outcome) {
   s.detail = std::string(job.klass == QueryClass::kHeavy ? "heavy" : "cheap") +
              ":" + outcome;
   db_->spans().Record(std::move(s));
+}
+
+double Service::RecordStageSpan(const Job& job, const char* name,
+                                double start_us) {
+  if (job.trace_id == 0) return 0.0;
+  monitor::Span s;
+  s.trace_id = job.trace_id;
+  s.span_id = db_->spans().NextId();
+  s.parent_id = job.root_span;
+  s.name = name;
+  s.session_id = job.session->id();
+  s.start_us = start_us;
+  const double now_us = db_->spans().NowUs();
+  s.dur_us = now_us - start_us;
+  db_->spans().Record(std::move(s));
+  return now_us;
 }
 
 void Service::RecordLaneLatency(QueryClass k, double ms) {

@@ -34,11 +34,6 @@ struct ServiceOptions {
   /// Queue-wait bound: a statement still queued this long past its
   /// enqueue is shed with Status::Timeout before execution. 0 disables.
   double max_queue_wait_ms = 0.0;
-  /// Use the cheap/heavy classifier for lane selection (off = everything is
-  /// one FIFO lane).
-  bool classify = true;
-  /// Fit the classifier from the database's query log at startup.
-  bool warm_classifier_from_log = true;
   /// Per-lane end-to-end p95 latency targets for the SLO tracker (0 = lane
   /// untracked). A cheap lane in breach feeds live pressure back into the
   /// admission classifier (SetCheapLanePressure), and both lanes publish
@@ -49,14 +44,20 @@ struct ServiceOptions {
   size_t slo_window = 256;
 };
 
+/// The engine-lock rule over a statement's effective form: exclusive for
+/// DDL, ANALYZE, CREATE MODEL, SHOW MODELS and a SELECT of an aidb_* system
+/// view (refresh replaces its backing table); shared otherwise, because MVCC
+/// snapshots, per-index latches, the thread-safe WAL and the checkpoint fence
+/// isolate the rest. An EXECUTE follows its template; one of an unknown name
+/// fails without touching engine state.
+bool TakesSharedLock(const ResolvedStatement& stmt);
+
 /// \brief Concurrent in-process SQL service: sessions, admission control,
 /// per-statement deadlines and a cheap/heavy scheduler over one Database.
 ///
-/// Concurrency model: the service holds the engine lock shared for SELECT,
-/// EXPLAIN [ANALYZE], DML, transaction control, PREPARE / DEALLOCATE and
-/// EXECUTE of a SELECT or DML template (MVCC snapshots isolate readers from
-/// writers), and exclusive for DDL, ANALYZE, CREATE MODEL and any statement
-/// touching an aidb_* system view (refresh replaces the backing table).
+/// Submit parses each statement once and resolves its effective form
+/// (Database::Resolve); the lane (QueryClassifier), the engine lock
+/// (TakesSharedLock) and execution all read that one AST.
 ///
 /// Overload never crashes and never hangs: a full queue sheds with
 /// Status::Overloaded at submit; a statement whose deadline passes while
@@ -76,9 +77,10 @@ class Service {
   Status CloseSession(uint64_t session_id);
   SessionManager& sessions() { return sessions_; }
 
-  /// Enqueues `sql` for the session; the future resolves to the result or a
-  /// typed error (Overloaded / Timeout / Cancelled / statement error). On
-  /// immediate shedding the future is already resolved.
+  /// Parses `sql` and enqueues it for the session; the future resolves to
+  /// the result or a typed error (Overloaded / Timeout / Cancelled /
+  /// statement error). A statement that fails to parse or is shed at once
+  /// resolves here, without taking a worker.
   std::future<Result<QueryResult>> Submit(uint64_t session_id, std::string sql);
 
   /// Submit + wait.
@@ -107,9 +109,7 @@ class Service {
 
   struct Job {
     std::shared_ptr<Session> session;
-    std::string sql;
-    SqlFacts facts;
-    uint64_t digest = 0;
+    ResolvedStatement stmt;  ///< parsed and resolved at admission
     QueryClass klass = QueryClass::kCheap;
     Clock::time_point enqueued{};
     Clock::time_point deadline{};  ///< time_point::max() = none
@@ -120,19 +120,21 @@ class Service {
     uint64_t trace_id = 0;
     uint64_t root_span = 0;
     double admitted_us = 0.0;  ///< collector clock at admission
+    double queued_us = 0.0;    ///< collector clock once parsed
   };
 
   void WorkerLoop(size_t worker_index);
   void ReaperLoop();
   void RunJob(Job& job);
-  /// True when the statement can run under the shared (reader) lock.
-  bool SharedEligible(const Job& job) const;
   void RegisterSessionsView();
   /// Records one completed statement's end-to-end latency into its lane's
   /// SLO window; refreshes the p95 gauges and the classifier pressure.
   void RecordLaneLatency(QueryClass k, double ms);
   /// Records the root `request` span of a finished (or shed) job.
   void RecordRequestSpan(const Job& job, const char* outcome);
+  /// Records a stage span from `start_us` to now under the job's request
+  /// root (when traced) and returns now on the collector clock.
+  double RecordStageSpan(const Job& job, const char* name, double start_us);
 
   Database* db_;
   ServiceOptions opts_;

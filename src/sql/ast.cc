@@ -227,6 +227,7 @@ std::unique_ptr<Statement> PrepareStatement::Clone() const {
   s->body_text = body_text;
   s->body = body ? body->Clone() : nullptr;
   s->num_params = num_params;
+  s->shape = shape;
   return s;
 }
 

@@ -212,6 +212,7 @@ struct PrepareStatement : Statement {
   std::string body_text;  ///< canonical token rendering of the body (cache key)
   std::unique_ptr<Statement> body;
   int num_params = 0;  ///< highest $N referenced in the body
+  uint64_t shape = 0;  ///< ShapeDigest of a SELECT body: its EXECUTEs' key
   std::unique_ptr<Statement> Clone() const override;
   StatementKind kind() const override { return StatementKind::kPrepare; }
 };

@@ -123,15 +123,25 @@ std::string JoinTokens(const std::vector<Token>& tokens, size_t begin,
   return out;
 }
 
-Result<std::string> NormalizeSql(const std::string& input) {
-  std::vector<Token> tokens;
-  AIDB_ASSIGN_OR_RETURN(tokens, Lex(input));
-  size_t end = tokens.size();
-  while (end > 0 && (tokens[end - 1].type == TokenType::kEnd ||
-                     tokens[end - 1].IsSymbol(";"))) {
-    --end;  // "SELECT 1" and "SELECT 1;" must key identically
+uint64_t ShapeDigest(const std::vector<Token>& tokens, size_t begin,
+                     size_t end) {
+  uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
+  auto mix = [&h](unsigned char c) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  };
+  for (size_t i = begin; i < end && i < tokens.size(); ++i) {
+    const Token& t = tokens[i];
+    if (t.type == TokenType::kEnd) break;
+    if (t.type == TokenType::kInteger || t.type == TokenType::kFloat ||
+        t.type == TokenType::kString || t.type == TokenType::kParam) {
+      mix('?');
+    } else {
+      for (unsigned char c : t.text) mix(c);
+    }
+    mix(' ');
   }
-  return JoinTokens(tokens, 0, end);
+  return h;
 }
 
 }  // namespace aidb::sql

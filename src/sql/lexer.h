@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -43,8 +44,10 @@ Result<std::vector<Token>> Lex(const std::string& input);
 std::string JoinTokens(const std::vector<Token>& tokens, size_t begin,
                        size_t end);
 
-/// Lexes and re-renders a whole statement (kEnd excluded). Lex errors
-/// propagate.
-Result<std::string> NormalizeSql(const std::string& input);
+/// FNV-1a digest of tokens [begin, end) rendered as JoinTokens does, but with
+/// every literal and $N placeholder as '?': statements that differ only in
+/// their constants share it. The admission classifier keys on it.
+uint64_t ShapeDigest(const std::vector<Token>& tokens, size_t begin,
+                     size_t end);
 
 }  // namespace aidb::sql

@@ -5,15 +5,33 @@ namespace aidb::sql {
 Result<std::unique_ptr<Statement>> Parser::Parse(const std::string& input) {
   std::vector<Token> tokens;
   AIDB_ASSIGN_OR_RETURN(tokens, Lex(input));
+  return Parser(std::move(tokens)).ParseAll();
+}
+
+Result<ParsedStatement> Parser::ParseKeyed(std::string text) {
+  std::vector<Token> tokens;
+  AIDB_ASSIGN_OR_RETURN(tokens, Lex(text));
   Parser p(std::move(tokens));
-  std::unique_ptr<Statement> stmt;
-  AIDB_ASSIGN_OR_RETURN(stmt, p.ParseStatement());
-  p.Match(";");
-  if (p.Peek().type != TokenType::kEnd) {
-    return Status::ParseError("trailing input after statement: '" +
-                              p.Peek().text + "'");
+  ParsedStatement out;
+  AIDB_ASSIGN_OR_RETURN(out.stmt, p.ParseAll());
+  if (out.stmt->kind() == StatementKind::kSelect) {
+    out.canonical = JoinTokens(p.tokens_, 0, p.stmt_end_);
+    out.shape = ShapeDigest(p.tokens_, 0, p.stmt_end_);
   }
-  if (p.max_param_ > 0 && stmt->kind() != StatementKind::kPrepare) {
+  out.text = std::move(text);
+  return out;
+}
+
+Result<std::unique_ptr<Statement>> Parser::ParseAll() {
+  std::unique_ptr<Statement> stmt;
+  AIDB_ASSIGN_OR_RETURN(stmt, ParseStatement());
+  stmt_end_ = pos_;
+  Match(";");
+  if (Peek().type != TokenType::kEnd) {
+    return Status::ParseError("trailing input after statement: '" +
+                              Peek().text + "'");
+  }
+  if (max_param_ > 0 && stmt->kind() != StatementKind::kPrepare) {
     return Status::ParseError(
         "parameter placeholders ($N) are only allowed inside PREPARE bodies");
   }
@@ -108,6 +126,9 @@ Result<std::unique_ptr<Statement>> Parser::ParsePrepare() {
       break;
   }
   stmt->body_text = JoinTokens(tokens_, body_begin, pos_);
+  if (stmt->body->kind() == StatementKind::kSelect) {
+    stmt->shape = ShapeDigest(tokens_, body_begin, pos_);
+  }
   stmt->num_params = max_param_;
   return std::unique_ptr<Statement>(std::move(stmt));
 }

@@ -9,6 +9,18 @@
 
 namespace aidb::sql {
 
+/// A statement parsed from its text, with the keys its tokens yield. Only a
+/// SELECT (EXPLAIN included) carries keys: nothing else is plan-cached by
+/// its text or learned by shape, so writes and DDL compute none.
+struct ParsedStatement {
+  std::string text;  ///< the statement as submitted
+  std::unique_ptr<Statement> stmt;
+  /// JoinTokens rendering without the trailing ';'. It keeps literals,
+  /// because plans embed them: a direct SELECT's plan-cache key.
+  std::string canonical;
+  uint64_t shape = 0;  ///< ShapeDigest of the same tokens (classifier key)
+};
+
 /// \brief Recursive-descent parser for the engine's SQL dialect.
 ///
 /// Supported statements:
@@ -32,10 +44,14 @@ class Parser {
  public:
   /// Parses one statement (a trailing ';' is allowed).
   static Result<std::unique_ptr<Statement>> Parse(const std::string& input);
+  /// Parse, keeping the text and, for a SELECT, its keys, from the one lex.
+  static Result<ParsedStatement> ParseKeyed(std::string text);
 
  private:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
+  /// Parses the whole token stream as one statement.
+  Result<std::unique_ptr<Statement>> ParseAll();
   Result<std::unique_ptr<Statement>> ParseStatement();
   Result<std::unique_ptr<Statement>> ParseSelect(bool explain);
   Result<std::unique_ptr<Statement>> ParseInsert();
@@ -75,6 +91,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t stmt_end_ = 0;  ///< one past the statement's last token (no ';')
   /// Highest $N placeholder seen so far. Placeholders are only legal inside
   /// a PREPARE body; Parse() rejects them anywhere else.
   int max_param_ = 0;

@@ -22,7 +22,8 @@ namespace {
 constexpr char kManifestMagic[8] = {'A', 'I', 'D', 'B', 'M', 'A', 'N', 'I'};
 constexpr const char* kManifestName = "MANIFEST";
 
-Status WriteFileDurably(const std::string& path, const std::string& bytes) {
+Status WriteFileDurably(const std::string& path, const std::string& bytes,
+                        bool sync) {
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0)
     return Status::Internal("lsm: open " + path + ": " + std::strerror(errno));
@@ -36,7 +37,7 @@ Status WriteFileDurably(const std::string& path, const std::string& bytes) {
     }
     done += static_cast<size_t>(w);
   }
-  if (::fsync(fd) != 0) {
+  if (sync && ::fsync(fd) != 0) {
     ::close(fd);
     return Status::Internal("lsm: fsync: " + std::string(std::strerror(errno)));
   }
@@ -50,7 +51,7 @@ Status WriteFileDurably(const std::string& path, const std::string& bytes) {
 /// intact). kCleanCrash crashes *after* the durable rename: the new manifest
 /// is visible but the caller died before doing anything with it.
 Status DamageManifestTmp(const std::string& tmp, const std::string& bytes,
-                         FaultKind kind, FaultInjector* fault) {
+                         FaultKind kind, FaultInjector* fault, bool sync) {
   std::string damaged = bytes;
   switch (kind) {
     case FaultKind::kTornWrite:
@@ -70,7 +71,7 @@ Status DamageManifestTmp(const std::string& tmp, const std::string& bytes,
     default:
       break;
   }
-  WriteFileDurably(tmp, damaged).ok();
+  WriteFileDurably(tmp, damaged, sync).ok();
   return Status::Aborted("lsm: simulated crash (" +
                          std::string(FaultKindName(kind)) + ")");
 }
@@ -136,8 +137,8 @@ bool LsmEngine::TableState::ColdRangeMayMatch(RowId begin, RowId end,
 
 LsmEngine::LsmEngine(std::string dir, LsmOptions opts,
                      txn::TransactionManager* tm, FaultInjector* fault,
-                     monitor::MetricsRegistry* metrics)
-    : dir_(std::move(dir)), opts_(opts), tm_(tm), fault_(fault) {
+                     bool sync, monitor::MetricsRegistry* metrics)
+    : dir_(std::move(dir)), opts_(opts), tm_(tm), fault_(fault), sync_(sync) {
   ::mkdir(dir_.c_str(), 0755);
   if (metrics != nullptr) {
     m_flushes_ = metrics->GetCounter("storage.flushes");
@@ -228,9 +229,9 @@ Status LsmEngine::WriteManifestLocked() {
   FaultKind kind = fault_ ? fault_->Fire(FaultPoint::kManifestUpdate)
                           : FaultKind::kNone;
   if (kind != FaultKind::kNone && kind != FaultKind::kCleanCrash) {
-    return DamageManifestTmp(tmp, bytes, kind, fault_);
+    return DamageManifestTmp(tmp, bytes, kind, fault_, sync_);
   }
-  AIDB_RETURN_NOT_OK(WriteFileDurably(tmp, bytes));
+  AIDB_RETURN_NOT_OK(WriteFileDurably(tmp, bytes, sync_));
   if (::rename(tmp.c_str(), real.c_str()) != 0) {
     return Status::Internal("lsm: rename manifest: " +
                             std::string(std::strerror(errno)));
@@ -409,6 +410,7 @@ Status LsmEngine::FlushLocked(TableState* st, bool force) {
   wopts.bloom_bits_per_key = opts_.bloom_bits_per_key;
   wopts.level = 0;
   wopts.fault = fault_;
+  wopts.sync = sync_;
   SstWriteResult wres;
   AIDB_RETURN_NOT_OK(WriteSst(path, entries, st->table->schema().NumColumns(),
                               wopts, &wres));
@@ -503,6 +505,7 @@ Status LsmEngine::CompactLocked(TableState* st) {
       wopts.level = level + 1;
       wopts.compaction = true;
       wopts.fault = fault_;
+      wopts.sync = sync_;
       AIDB_RETURN_NOT_OK(WriteSst(path, entries,
                                   st->table->schema().NumColumns(), wopts,
                                   &wres));

@@ -53,10 +53,11 @@ class LsmEngine final : public StorageEngine {
  public:
   /// `dir` is created if missing. `tm` provides the serial-fenced retire
   /// lists that keep retired versions/run sets alive for concurrent readers.
-  /// `fault` (optional) arms the crash matrix; `metrics` (optional) meters
-  /// storage.* counters.
+  /// `fault` (optional) arms the crash matrix; `sync` false skips the
+  /// physical fsyncs of SSTs and the manifest (DurabilityOptions::sync);
+  /// `metrics` (optional) meters storage.* counters.
   LsmEngine(std::string dir, LsmOptions opts, txn::TransactionManager* tm,
-            FaultInjector* fault, monitor::MetricsRegistry* metrics);
+            FaultInjector* fault, bool sync, monitor::MetricsRegistry* metrics);
   ~LsmEngine() override;
 
   LsmEngine(const LsmEngine&) = delete;
@@ -141,6 +142,7 @@ class LsmEngine final : public StorageEngine {
   const LsmOptions opts_;
   txn::TransactionManager* const tm_;
   FaultInjector* const fault_;
+  const bool sync_;
 
   /// Serializes attach/detach/flush/compaction/manifest writes. Never held
   /// by readers.

@@ -73,12 +73,13 @@ Status PhysicalWrite(int fd, const char* data, size_t n) {
 /// lands with one byte flipped, dropped-fsync = everything since the last
 /// durable sync (here: the whole file, synced only at the end) vanishes.
 Status SimulateCrash(int fd, const std::string& buf, FaultKind kind,
-                     FaultInjector* fault) {
+                     const SstWriteOptions& opts) {
+  FaultInjector* fault = opts.fault;
   switch (kind) {
     case FaultKind::kTornWrite: {
       size_t torn = buf.empty() ? 0 : 1 + fault->rng().Uniform(buf.size());
       PhysicalWrite(fd, buf.data(), std::min(torn, buf.size())).ok();
-      ::fsync(fd);
+      if (opts.sync) ::fsync(fd);
       break;
     }
     case FaultKind::kCorruptByte: {
@@ -88,7 +89,7 @@ Status SimulateCrash(int fd, const std::string& buf, FaultKind kind,
         damaged[at] = static_cast<char>(damaged[at] ^ 0x40);
       }
       PhysicalWrite(fd, damaged.data(), damaged.size()).ok();
-      ::fsync(fd);
+      if (opts.sync) ::fsync(fd);
       break;
     }
     case FaultKind::kDroppedFsync: {
@@ -188,7 +189,7 @@ Status WriteSst(const std::string& path, const std::vector<SstEntry>& entries,
 
     if (opts.fault != nullptr) {
       FaultKind kind = opts.fault->Fire(block_point);
-      if (kind != FaultKind::kNone) return SimulateCrash(fd, frame, kind, opts.fault);
+      if (kind != FaultKind::kNone) return SimulateCrash(fd, frame, kind, opts);
     }
     st = PhysicalWrite(fd, frame.data(), frame.size());
     if (!st.ok()) {
@@ -250,14 +251,14 @@ Status WriteSst(const std::string& path, const std::vector<SstEntry>& entries,
       // The file completes durably but the caller dies before the manifest
       // references it: a valid orphan recovery must garbage-collect.
       PhysicalWrite(fd, footer.data(), footer.size()).ok();
-      ::fsync(fd);
+      if (opts.sync) ::fsync(fd);
       ::close(fd);
       return Status::Aborted("sst: simulated crash (clean-crash)");
     }
-    if (kind != FaultKind::kNone) return SimulateCrash(fd, footer, kind, opts.fault);
+    if (kind != FaultKind::kNone) return SimulateCrash(fd, footer, kind, opts);
   }
   st = PhysicalWrite(fd, footer.data(), footer.size());
-  if (st.ok() && ::fsync(fd) != 0) {
+  if (st.ok() && opts.sync && ::fsync(fd) != 0) {
     st = Status::Internal("sst: fsync: " + std::string(std::strerror(errno)));
   }
   ::close(fd);

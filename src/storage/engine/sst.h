@@ -41,6 +41,7 @@ struct SstWriteOptions {
   size_t block_entries = 256;  ///< entries per data block
   bool compaction = false;     ///< fire kCompactionWrite instead of kSstBlockWrite
   FaultInjector* fault = nullptr;
+  bool sync = true;  ///< false skips the physical fsyncs (DurabilityOptions::sync)
 };
 
 /// Counters reported back by WriteSst.
@@ -52,7 +53,8 @@ struct SstWriteResult {
 
 /// Writes a slot-sorted SST file: magic, CRC-framed data blocks, a CRC-framed
 /// footer (block index + zone maps + bloom over slot ids), and a fixed
-/// trailer locating the footer. The file is fsynced before returning OK; any
+/// trailer locating the footer. The file is fsynced (when opts.sync) before
+/// returning OK; any
 /// fired fault leaves deterministic damage and returns Aborted, exactly like
 /// the WAL writer's crash simulation.
 Status WriteSst(const std::string& path, const std::vector<SstEntry>& entries,

@@ -41,7 +41,7 @@ std::vector<std::pair<uint64_t, std::string>> ListSnapshots(const std::string& d
 }
 
 Status WriteFileDurably(const std::string& path, const std::string& bytes,
-                        FaultInjector* fault) {
+                        FaultInjector* fault, bool sync) {
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0)
     return Status::Internal("snapshot: open " + path + ": " + std::strerror(errno));
@@ -67,7 +67,7 @@ Status WriteFileDurably(const std::string& path, const std::string& bytes,
     }
     done += static_cast<size_t>(w);
   }
-  if (::fsync(fd) != 0) {
+  if (sync && ::fsync(fd) != 0) {
     ::close(fd);
     return Status::Internal("snapshot: fsync: " + std::string(std::strerror(errno)));
   }
@@ -80,7 +80,7 @@ Status WriteFileDurably(const std::string& path, const std::string& bytes,
 Result<std::string> Snapshot::Write(const std::string& dir, const SnapshotMeta& meta,
                                     const Catalog& catalog,
                                     const db4ai::ModelRegistry& models,
-                                    FaultInjector* fault) {
+                                    FaultInjector* fault, bool sync) {
   std::string body;
   body.append(kMagic, sizeof(kMagic));
   serde::PutU32(&body, kVersion);
@@ -126,7 +126,7 @@ Result<std::string> Snapshot::Write(const std::string& dir, const SnapshotMeta& 
 
   std::string final_path = SnapshotPath(dir, meta.checkpoint_lsn);
   std::string tmp_path = final_path + ".tmp";
-  AIDB_RETURN_NOT_OK(WriteFileDurably(tmp_path, body, fault));
+  AIDB_RETURN_NOT_OK(WriteFileDurably(tmp_path, body, fault, sync));
   if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0)
     return Status::Internal("snapshot: rename: " + std::string(std::strerror(errno)));
   if (fault != nullptr) {

@@ -32,13 +32,14 @@ struct SnapshotMeta {
 /// ones otherwise.
 class Snapshot {
  public:
-  /// Serializes catalog + models at `meta` into dir/snapshot-<lsn>.snap.
+  /// Serializes catalog + models at `meta` into dir/snapshot-<lsn>.snap,
+  /// fsynced unless `sync` is false (DurabilityOptions::sync).
   /// Injection points: mid temp-file write and post-rename (see
   /// FaultPoint); on a fired fault returns Status::Aborted.
   static Result<std::string> Write(const std::string& dir, const SnapshotMeta& meta,
                                    const Catalog& catalog,
                                    const db4ai::ModelRegistry& models,
-                                   FaultInjector* fault);
+                                   FaultInjector* fault, bool sync);
 
   /// Loads the newest valid snapshot in `dir` into the (empty) catalog and
   /// registry. Returns false when no valid snapshot exists (fresh database

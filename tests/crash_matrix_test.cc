@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -70,7 +72,8 @@ class CrashMatrixTest : public ::testing::Test {
     // Per-test directory: a shared one races sibling cases under ctest -j.
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = (std::filesystem::temp_directory_path() /
-            (std::string("aidb_crash_matrix_") + info->name()))
+            (std::string("aidb_crash_matrix_") + info->name() + "_" +
+             std::to_string(::getpid())))
                .string();
     std::filesystem::remove_all(dir_);
   }

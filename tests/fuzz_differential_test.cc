@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -202,7 +204,9 @@ TEST(FuzzDifferential, ConcurrentTxnWorkloads) {
 
 TEST(FuzzDifferential, LsmVsRowStoreWorkloads) {
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "aidb_fuzz_lsm_leg").string();
+      (std::filesystem::temp_directory_path() /
+       ("aidb_fuzz_lsm_leg_" + std::to_string(::getpid())))
+          .string();
   const size_t kWorkloads = ScaledCount(60);
   for (uint64_t seed = 1; seed <= kWorkloads; ++seed) {
     testing::WorkloadGenerator gen(seed * 999983);
@@ -225,7 +229,9 @@ TEST(FuzzDifferential, LsmVsRowStoreWorkloads) {
 
 TEST(FuzzDifferential, CrashRecoveryWorkloads) {
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "aidb_fuzz_crash").string();
+      (std::filesystem::temp_directory_path() /
+       ("aidb_fuzz_crash_" + std::to_string(::getpid())))
+          .string();
   const size_t kWorkloads = ScaledCount(80);
   for (uint64_t seed = 1; seed <= kWorkloads; ++seed) {
     testing::WorkloadGenerator gen(seed * 104729);

@@ -44,6 +44,14 @@ TEST_F(PlanCacheTest, DirectSelectIsCachedOnSecondExecution) {
   // Normalization: whitespace/case differences share the entry.
   auto r3 = Run("select   id from t where id = 7");
   EXPECT_TRUE(r3.plan_cache_hit);
+  // A trailing ';' is not part of the key.
+  auto r4 = Run("SELECT id FROM t WHERE id = 7;");
+  EXPECT_TRUE(r4.plan_cache_hit);
+  // Literals are: plans embed them.
+  auto r5 = Run("SELECT id FROM t WHERE id = 8");
+  EXPECT_FALSE(r5.plan_cache_hit);
+  ASSERT_EQ(r5.rows.size(), 1u);
+  EXPECT_EQ(r5.rows[0][0].AsInt(), 8);
 }
 
 TEST_F(PlanCacheTest, PreparedExecuteHitsCacheAndBindsParams) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -22,7 +24,8 @@ class RecoveryTest : public ::testing::Test {
     // a shared directory makes SetUp's remove_all race a sibling's open DB.
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = (std::filesystem::temp_directory_path() /
-            (std::string("aidb_recovery_test_") + info->name()))
+            (std::string("aidb_recovery_test_") + info->name() + "_" +
+             std::to_string(::getpid())))
                .string();
     std::filesystem::remove_all(dir_);
   }

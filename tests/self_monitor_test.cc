@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <filesystem>
 #include <map>
@@ -318,10 +320,12 @@ TEST(TraceSpanTest, ServiceRequestsFormOneTreePerStatement) {
     std::set<uint64_t> ids;
     std::set<uint64_t> sessions;
     bool has_request = false;
+    uint64_t root = 0;
     for (const auto& s : spans) {
       ids.insert(s.span_id);
       if (s.name == "request") {
         has_request = true;
+        root = s.span_id;
         EXPECT_EQ(s.parent_id, 0u);
       }
       if (s.parent_id == 0) ++roots;
@@ -331,8 +335,13 @@ TEST(TraceSpanTest, ServiceRequestsFormOneTreePerStatement) {
     ++request_trees;
     EXPECT_EQ(roots, 1u) << "trace " << trace;
     EXPECT_LE(sessions.size(), 1u) << "trace " << trace;
-    bool has_queue_wait = false, has_execute = false;
+    bool has_parse = false, has_queue_wait = false, has_execute = false;
     for (const auto& s : spans) {
+      // Admission parses the statement under the request root.
+      if (s.name == "parse") {
+        has_parse = true;
+        EXPECT_EQ(s.parent_id, root) << "trace " << trace;
+      }
       if (s.name == "queue_wait") has_queue_wait = true;
       if (s.name == "execute") has_execute = true;
       if (s.parent_id != 0) {
@@ -340,6 +349,7 @@ TEST(TraceSpanTest, ServiceRequestsFormOneTreePerStatement) {
             << "trace " << trace << " span " << s.name;
       }
     }
+    EXPECT_TRUE(has_parse) << "trace " << trace;
     EXPECT_TRUE(has_queue_wait) << "trace " << trace;
     EXPECT_TRUE(has_execute) << "trace " << trace;
   }
@@ -347,7 +357,8 @@ TEST(TraceSpanTest, ServiceRequestsFormOneTreePerStatement) {
 }
 
 TEST(TraceSpanTest, WalFlushAttributedToTriggeringRequest) {
-  const std::string dir = "self_monitor_wal_span_db";
+  const std::string dir =
+      "self_monitor_wal_span_db_" + std::to_string(::getpid());
   std::filesystem::remove_all(dir);
   DurabilityOptions opts;
   opts.wal_flush_interval = 1;  // synchronous commit: every txn flushes

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -9,6 +12,7 @@
 #include "exec/database.h"
 #include "server/classifier.h"
 #include "server/service.h"
+#include "sql/parser.h"
 
 namespace aidb {
 namespace {
@@ -167,34 +171,187 @@ TEST(ServiceTest, SessionsSystemViewReportsState) {
 
 TEST(ServiceTest, ClassifierLearnsHeavyShapes) {
   server::QueryClassifier clf;
-  // Cold start: syntactic prior.
-  auto facts_point = server::ExtractSqlFacts("SELECT val FROM pts WHERE id = 1");
-  auto facts_join = server::ExtractSqlFacts(kHeavySql);
-  auto facts_ddl = server::ExtractSqlFacts("CREATE TABLE x (id INT)");
-  EXPECT_EQ(clf.Classify(1, facts_point), server::QueryClass::kCheap);
-  EXPECT_EQ(clf.Classify(2, facts_join), server::QueryClass::kHeavy);
-  EXPECT_EQ(clf.Classify(3, facts_ddl), server::QueryClass::kHeavy);
-  // Observed cost overrides syntax: a digest that keeps measuring expensive
+  // Cold start: the prior read off the AST.
+  auto point = sql::Parser::Parse("SELECT val FROM pts WHERE id = 1");
+  auto join = sql::Parser::Parse(kHeavySql);
+  auto ddl = sql::Parser::Parse("CREATE TABLE x (id INT)");
+  ASSERT_TRUE(point.ok() && join.ok() && ddl.ok());
+  const sql::Statement* point_stmt = point.ValueOrDie().get();
+  EXPECT_EQ(clf.Classify(1, point_stmt), server::QueryClass::kCheap);
+  EXPECT_EQ(clf.Classify(2, join.ValueOrDie().get()),
+            server::QueryClass::kHeavy);
+  EXPECT_EQ(clf.Classify(3, ddl.ValueOrDie().get()),
+            server::QueryClass::kHeavy);
+  // Observed cost overrides syntax: a shape that keeps measuring expensive
   // flips to heavy even though it looks like a point query.
   for (int i = 0; i < 10; ++i) clf.Record(1, 10.0);
   for (int i = 0; i < 10; ++i) clf.Record(4, 100000.0);
-  EXPECT_EQ(clf.Classify(1, facts_point), server::QueryClass::kCheap);
-  EXPECT_EQ(clf.Classify(4, facts_point), server::QueryClass::kHeavy);
+  EXPECT_EQ(clf.Classify(1, point_stmt), server::QueryClass::kCheap);
+  EXPECT_EQ(clf.Classify(4, point_stmt), server::QueryClass::kHeavy);
 }
 
 TEST(ServiceTest, ClassifierWarmsFromQueryLog) {
   Database db;
   SeedTables(&db);
+  const std::string join = "SELECT a.val FROM pts a JOIN pts b ON a.id = b.id";
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(db.Execute("SELECT val FROM pts WHERE id = 2").ok());
+    ASSERT_TRUE(db.Execute(join).ok());
   }
   server::QueryClassifier clf;
   EXPECT_GT(clf.WarmFromQueryLog(db.query_log().Entries()), 0u);
   EXPECT_GT(clf.known_digests(), 0u);
-  // The warmed digest classifies without syntactic guessing.
-  uint64_t digest = server::SqlShapeDigest("SELECT val FROM pts WHERE id = 2");
-  EXPECT_EQ(clf.Classify(digest, server::SqlFacts{}),
+  // The warmed shapes classify without syntactic guessing: the join's AST
+  // prior says heavy, but its measured cost is typical.
+  auto point = sql::Parser::ParseKeyed("SELECT val FROM pts WHERE id = 2");
+  auto joined = sql::Parser::ParseKeyed(join);
+  ASSERT_TRUE(point.ok() && joined.ok());
+  EXPECT_EQ(clf.Classify(point.ValueOrDie().shape,
+                         point.ValueOrDie().stmt.get()),
             server::QueryClass::kCheap);
+  EXPECT_EQ(clf.Classify(joined.ValueOrDie().shape,
+                         joined.ValueOrDie().stmt.get()),
+            server::QueryClass::kCheap);
+}
+
+TEST(ServiceTest, PreparedReadsTakeTheCheapLane) {
+  Database db;
+  SeedTables(&db);
+  db.EnableSpans(true);
+  {
+    server::Service service(&db, {.workers = 2});
+    auto s = service.OpenSession();
+    ASSERT_TRUE(
+        service.Execute(s->id(), "PREPARE rd AS SELECT val FROM pts WHERE id = $1")
+            .ok());
+    for (int k = 0; k < 20; ++k) {
+      ASSERT_TRUE(
+          service.Execute(s->id(), "EXECUTE rd (" + std::to_string(k) + ")").ok());
+    }
+    service.Drain();
+  }
+  // Each request's `execute` span names its statement kind; its root
+  // `request` span names the lane.
+  std::map<uint64_t, std::string> lane_of_trace;
+  std::set<uint64_t> execute_traces;
+  for (const auto& span : db.spans().Snapshot()) {
+    if (span.name == "request") lane_of_trace[span.trace_id] = span.detail;
+    if (span.name == "execute" && span.detail == "execute") {
+      execute_traces.insert(span.trace_id);
+    }
+  }
+  ASSERT_EQ(execute_traces.size(), 20u);
+  for (uint64_t trace : execute_traces) {
+    EXPECT_EQ(lane_of_trace[trace].rfind("cheap:", 0), 0u)
+        << lane_of_trace[trace];
+  }
+}
+
+TEST(ServiceTest, ClassifierStateBoundedByShapes) {
+  Database db;
+  SeedTables(&db);
+  server::Service service(&db, {.workers = 2});
+  auto s = service.OpenSession();
+  for (int k = 0; k < 20; ++k) {
+    ASSERT_TRUE(service
+                    .Execute(s->id(), "SELECT val FROM pts WHERE id = " +
+                                          std::to_string(k))
+                    .ok());
+  }
+  ASSERT_TRUE(
+      service.Execute(s->id(), "PREPARE rd AS SELECT id FROM pts WHERE id = $1")
+          .ok());
+  for (int k = 0; k < 20; ++k) {
+    ASSERT_TRUE(
+        service.Execute(s->id(), "EXECUTE rd (" + std::to_string(k) + ")").ok());
+  }
+  EXPECT_GE(service.classifier().known_digests(), 1u);
+  EXPECT_LE(service.classifier().known_digests(), 2u);
+}
+
+TEST(ServiceTest, ParseErrorResolvesAtSubmit) {
+  Database db;
+  SeedTables(&db);
+  const std::string bad = "SELEC val FROM pts";
+  auto direct = db.Execute(bad);
+  ASSERT_FALSE(direct.ok());
+
+  server::Service service(&db, {.workers = 2});
+  auto s = service.OpenSession();
+  ASSERT_TRUE(service.Execute(s->id(), "SELECT val FROM pts WHERE id = 1").ok());
+  service.Drain();
+  const uint64_t executed = service.executed();
+  const uint64_t statements = s->statements.load();
+  const uint64_t errors = s->errors.load();
+
+  auto fut = service.Submit(s->id(), bad);
+  EXPECT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  auto r = fut.get();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(), direct.status().ToString());
+  EXPECT_EQ(s->statements.load(), statements + 1);
+  EXPECT_EQ(s->errors.load(), errors + 1);
+  service.Drain();
+  EXPECT_EQ(service.executed(), executed);
+}
+
+/// One row of the engine-lock table: a statement, resolved in a session
+/// that holds the templates below, and whether it may run shared.
+struct LockCase {
+  const char* sql;
+  bool shared;
+};
+
+TEST(ServiceTest, EngineLockFollowsTheEffectiveStatement) {
+  Database db;
+  SeedTables(&db);
+  server::Service service(&db, {.workers = 2});  // registers aidb_sessions
+  auto s = service.OpenSession();
+  for (const char* prep :
+       {"PREPARE rd AS SELECT val FROM pts WHERE id = $1",
+        "PREPARE sv AS SELECT id FROM aidb_sessions",
+        "PREPARE up AS UPDATE pts SET val = $1 WHERE id = 1",
+        "PREPARE mk AS CREATE TABLE made (id INT)",
+        "PREPARE ex AS EXPLAIN SELECT val FROM pts"}) {
+    ASSERT_TRUE(service.Execute(s->id(), prep).ok()) << prep;
+  }
+  const LockCase cases[] = {
+      {"SELECT val FROM pts WHERE id = 1", true},
+      {"EXPLAIN SELECT val FROM pts", true},
+      {"EXPLAIN ANALYZE SELECT val FROM pts", true},
+      {"INSERT INTO pts VALUES (900, 1.0)", true},
+      {"UPDATE pts SET val = 2.0 WHERE id = 1", true},
+      {"DELETE FROM pts WHERE id = 900", true},
+      {"BEGIN", true},
+      {"COMMIT", true},
+      {"ROLLBACK", true},
+      {"PREPARE p2 AS SELECT val FROM pts", true},
+      {"DEALLOCATE rd", true},
+      {"SELECT val FROM pts WHERE id = 'aidb_sessions'", true},
+      {"SELECT * FROM my_aidb_table", true},
+      {"SELECT * FROM aidb_sessions", false},
+      {"SELECT p.id FROM pts p JOIN aidb_sessions a ON p.id = a.id", false},
+      {"EXECUTE sv", false},
+      {"CREATE TABLE t2 (id INT)", false},
+      {"DROP TABLE big1", false},
+      {"CREATE INDEX i ON pts(id)", false},
+      {"DROP INDEX i", false},
+      {"ANALYZE pts", false},
+      {"CREATE MODEL m TYPE linear PREDICT val ON pts", false},
+      {"SHOW MODELS", false},
+      {"EXECUTE rd (1)", true},
+      {"EXECUTE up (2.0)", true},
+      {"EXECUTE ex", true},
+      {"EXECUTE mk", false},
+      {"EXECUTE nosuch (1)", true},
+  };
+  for (const LockCase& c : cases) {
+    auto parsed = sql::Parser::ParseKeyed(c.sql);
+    ASSERT_TRUE(parsed.ok()) << c.sql;
+    ResolvedStatement stmt =
+        db.Resolve(std::move(parsed).ValueOrDie(), s->prepared());
+    EXPECT_EQ(server::TakesSharedLock(stmt), c.shared) << c.sql;
+  }
 }
 
 // ---------------------------------------------------------------------------

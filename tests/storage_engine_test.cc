@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
@@ -36,7 +38,8 @@ class SstFormatTest : public ::testing::Test {
   void SetUp() override {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = (std::filesystem::temp_directory_path() /
-            (std::string("aidb_sst_") + info->name()))
+            (std::string("aidb_sst_") + info->name() + "_" +
+             std::to_string(::getpid())))
                .string();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
@@ -258,7 +261,8 @@ class StorageEngineTest : public ::testing::Test {
   void SetUp() override {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = (std::filesystem::temp_directory_path() /
-            (std::string("aidb_lsm_") + info->name()))
+            (std::string("aidb_lsm_") + info->name() + "_" +
+             std::to_string(::getpid())))
                .string();
     std::filesystem::remove_all(dir_);
   }
@@ -558,7 +562,9 @@ TEST_F(StorageEngineTest, SystemViewAndMetricsReportTheEngine) {
 
 TEST(ParallelStorageEngineTest, ReadersSurviveFlushMaterializeCompactChurn) {
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "aidb_lsm_parallel").string();
+      (std::filesystem::temp_directory_path() /
+       ("aidb_lsm_parallel_" + std::to_string(::getpid())))
+          .string();
   std::filesystem::remove_all(dir);
   {
     DurabilityOptions opts;
@@ -623,7 +629,7 @@ TEST(StorageTunerTest, MeasuredEnvironmentIsDeterministicAndSane) {
   w.read_hit_fraction = 0.8;
   advisor::StorageEnvOptions env;
   env.scratch_dir = (std::filesystem::temp_directory_path() /
-                     "aidb_storage_env_det")
+                     ("aidb_storage_env_det_" + std::to_string(::getpid())))
                         .string();
   env.max_ops = 1024;
   env.flush_every = 64;
@@ -655,7 +661,7 @@ TEST(StorageTunerTest, TunedDesignBeatsWorstStaticAndMatchesDefault) {
   w.read_hit_fraction = 0.7;
   advisor::StorageEnvOptions env;
   env.scratch_dir = (std::filesystem::temp_directory_path() /
-                     "aidb_storage_env_tune")
+                     ("aidb_storage_env_tune_" + std::to_string(::getpid())))
                         .string();
   env.max_ops = 1200;
   env.flush_every = 48;

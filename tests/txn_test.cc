@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <filesystem>
 #include <string>
@@ -310,7 +312,8 @@ class TxnRecoveryTest : public ::testing::Test {
   void SetUp() override {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = (std::filesystem::temp_directory_path() /
-            (std::string("aidb_txn_recovery_") + info->name()))
+            (std::string("aidb_txn_recovery_") + info->name() + "_" +
+             std::to_string(::getpid())))
                .string();
     std::filesystem::remove_all(dir_);
   }

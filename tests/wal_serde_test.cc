@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -196,7 +198,8 @@ class WalFileTest : public ::testing::Test {
     // Per-test directory: a shared one races sibling cases under ctest -j.
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = std::filesystem::temp_directory_path() /
-           (std::string("aidb_wal_serde_test_") + info->name());
+           (std::string("aidb_wal_serde_test_") + info->name() + "_" +
+            std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     path_ = (dir_ / "wal.log").string();
