@@ -37,8 +37,8 @@ constexpr size_t kRows = 1'000'000;
 const char kScanFilterAgg[] =
     "SELECT COUNT(*), SUM(val), MIN(val), MAX(val) FROM t WHERE val > 200";
 
-/// Grouped variant: per-row key materialization bounds the win, reported for
-/// visibility (not gated).
+/// Grouped variant: rows map to group ids through the typed group table;
+/// reported for visibility (not gated).
 const char kGroupedAgg[] =
     "SELECT grp, COUNT(*), SUM(val) FROM t WHERE val > 200 GROUP BY grp";
 

@@ -2,162 +2,194 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "exec/operator.h"
+#include "exec/vec/batch.h"
 
 namespace aidb::exec {
 
-/// \brief Accumulator for one group: running SUM/MIN/MAX/COUNT per aggregate
-/// column, from which every AggFunc finalizes.
+/// \brief Running SUM/MIN/MAX/COUNT of one aggregate over one group, from
+/// which every AggFunc finalizes.
 ///
 /// Shared by HashAggregateOp and VecHashAggregateOp so their SQL semantics
-/// (NULL skipping, empty-group rules) cannot drift apart.
-struct GroupState {
-  Tuple key_values;
-  std::vector<double> sums;
-  std::vector<double> mins;
-  std::vector<double> maxs;
-  std::vector<size_t> counts;
+/// (NULL skipping, empty-group rules) and fold arithmetic cannot drift
+/// apart: both fold each group's values in input order, so sums are
+/// bit-identical across engines.
+struct AggAcc {
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  uint64_t count = 0;
 
-  void Init(Tuple key, size_t num_aggs) {
-    key_values = std::move(key);
-    sums.assign(num_aggs, 0.0);
-    mins.assign(num_aggs, 0.0);
-    maxs.assign(num_aggs, 0.0);
-    counts.assign(num_aggs, 0);
-  }
-
-  /// Folds one already-evaluated (non-NULL) argument into aggregate slot i.
-  /// The vectorized aggregate evaluates arguments column-wise and calls this
-  /// directly; Accumulate routes through it so the fold arithmetic has one
-  /// definition.
-  void FoldOne(size_t i, double v) {
-    if (counts[i] == 0) {
-      mins[i] = v;
-      maxs[i] = v;
+  /// Folds one already-evaluated, non-NULL argument (COUNT(*) folds 0.0).
+  void Fold(double v) {
+    if (count == 0) {
+      min = v;
+      max = v;
     } else {
-      mins[i] = std::min(mins[i], v);
-      maxs[i] = std::max(maxs[i], v);
+      min = std::min(min, v);
+      max = std::max(max, v);
     }
-    sums[i] += v;
-    ++counts[i];
-  }
-
-  /// Folds one input row into the running state (NULL arguments skipped, per
-  /// SQL aggregate semantics). Fails if an aggregate argument fails to
-  /// evaluate; the group state is then unusable.
-  Status Accumulate(const std::vector<AggSpec>& aggs, const Tuple& row) {
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      double v = 0.0;
-      if (aggs[i].arg) {
-        Value val;
-        AIDB_ASSIGN_OR_RETURN(val, aggs[i].arg->Eval(row));
-        if (val.is_null()) continue;
-        v = val.AsFeature();
-      }
-      FoldOne(i, v);
-    }
-    return Status::OK();
-  }
-
-  /// The output row: group keys followed by finalized aggregates.
-  Tuple Finalize(const std::vector<AggSpec>& aggs) const {
-    Tuple out = key_values;
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      switch (aggs[i].func) {
-        case sql::AggFunc::kCount:
-          out.push_back(Value(static_cast<int64_t>(counts[i])));
-          break;
-        case sql::AggFunc::kSum:
-          out.push_back(counts[i] ? Value(sums[i]) : Value::Null());
-          break;
-        case sql::AggFunc::kAvg:
-          out.push_back(counts[i]
-                            ? Value(sums[i] / static_cast<double>(counts[i]))
-                            : Value::Null());
-          break;
-        case sql::AggFunc::kMin:
-          out.push_back(counts[i] ? Value(mins[i]) : Value::Null());
-          break;
-        case sql::AggFunc::kMax:
-          out.push_back(counts[i] ? Value(maxs[i]) : Value::Null());
-          break;
-        case sql::AggFunc::kNone:
-          out.push_back(Value::Null());
-          break;
-      }
-    }
-    return out;
+    sum += v;
+    ++count;
   }
 };
 
-/// \brief Hash-bucketed map from group key to GroupState; buckets chain on
-/// the full key comparison so hash collisions stay correct.
-class GroupMap {
+/// The output value of `func` over `acc`: COUNT is an INT, the others a
+/// DOUBLE, or NULL over no values.
+Value FinalizeAgg(sql::AggFunc func, const AggAcc& acc);
+
+/// 64-bit finalizer (MurmurHash3 fmix64): spreads a key hash over the low
+/// bits HashIdIndex probes with.
+inline uint64_t MixHash(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+/// \brief Open-addressing index from a 64-bit key hash to a dense id.
+///
+/// The caller owns the keys (ids index its key arrays) and supplies
+/// equality, so one index serves typed, string and multi-column keys alike.
+/// Hashes must already be mixed (MixHash): slots are probed linearly from
+/// the hash's low bits.
+class HashIdIndex {
  public:
-  /// Evaluates the key expressions over `row` and folds the row into its
-  /// group's state. Fails on a key or aggregate-argument evaluation error.
-  Status Accumulate(const std::vector<BoundExpr>& keys,
-                    const std::vector<AggSpec>& aggs, const Tuple& row) {
-    Tuple key;
-    key.reserve(keys.size());
-    uint64_t h = 1469598103934665603ULL;
-    for (const auto& k : keys) {
-      Value v;
-      AIDB_ASSIGN_OR_RETURN(v, k.Eval(row));
-      key.push_back(std::move(v));
-      h = (h ^ key.back().Hash()) * 1099511628211ULL;
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// The id stored under `h` whose key `eq(id)` accepts, or kNone.
+  template <typename Eq>
+  uint32_t Find(uint64_t h, Eq&& eq) const {
+    if (slots_.empty()) return kNone;
+    for (size_t i = h & mask_;; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.id == kNone) return kNone;
+      if (s.hash == h && eq(s.id)) return s.id;
     }
-    return FindOrCreate(h, std::move(key), aggs.size())->Accumulate(aggs, row);
   }
 
-  size_t num_groups() const { return num_groups_; }
-
-  /// Bucket lookup with a precomputed key and hash, for callers that evaluate
-  /// keys themselves (the vectorized aggregate materializes keys column-wise
-  /// and folds rows directly). `h` must be the same FNV-1a fold over the key
-  /// values' Hash() that Accumulate computes, or serial and vectorized
-  /// executions would bucket — and thus order — groups differently.
-  GroupState* GetOrCreate(uint64_t h, Tuple key, size_t num_aggs) {
-    return FindOrCreate(h, std::move(key), num_aggs);
-  }
-
-  /// Invokes fn(state) for every group.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const auto& [h, chain] : buckets_) {
-      for (const auto& state : chain) fn(state);
-    }
+  /// Adds `id` under `h`; the caller has checked that its key is absent.
+  void Insert(uint64_t h, uint32_t id) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    size_t i = h & mask_;
+    while (slots_[i].id != kNone) i = (i + 1) & mask_;
+    slots_[i] = {h, id};
+    ++size_;
   }
 
  private:
-  GroupState* Find(uint64_t h, const Tuple& key) {
-    auto it = buckets_.find(h);
-    if (it == buckets_.end()) return nullptr;
-    for (auto& state : it->second) {
-      bool same = state.key_values.size() == key.size();
-      for (size_t i = 0; same && i < key.size(); ++i) {
-        if (state.key_values[i].Compare(key[i]) != 0) same = false;
-      }
-      if (same) return &state;
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t id = kNone;
+  };
+
+  void Grow();
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  size_t size_ = 0;
+};
+
+/// Keys below this bound are small enough to index by value (DirectIds).
+inline constexpr uint64_t kDirectKeys = 65536;
+
+/// \brief Dense ids of small non-negative integer keys, indexed by value:
+/// the lookup in front of a HashIdIndex for INT key columns, which skips
+/// the hash for surrogate ids and small codes.
+///
+/// The owner records a new key's id here when it inserts the key into its
+/// HashIdIndex and the key is an integer below kDirectKeys; a lookup that
+/// finds kNone here falls back to the hash index, so ids are the same
+/// either way.
+class DirectIds {
+ public:
+  /// The id recorded for `x`, or HashIdIndex::kNone.
+  uint32_t Find(uint64_t x) const {
+    return x < ids_.size() ? ids_[x] : HashIdIndex::kNone;
+  }
+
+  /// Records `id` for `x`; keys from kDirectKeys up are not recorded.
+  void Insert(uint64_t x, uint32_t id) {
+    if (x >= kDirectKeys) return;
+    if (x >= ids_.size()) {
+      const uint64_t grown = std::max<uint64_t>(x + 1, 2 * ids_.size());
+      ids_.resize(std::min(grown, kDirectKeys), HashIdIndex::kNone);
     }
-    return nullptr;
+    ids_[x] = id;
   }
 
-  GroupState* FindOrCreate(uint64_t h, Tuple key, size_t num_aggs) {
-    GroupState* found = Find(h, key);
-    if (found != nullptr) return found;
-    auto& chain = buckets_[h];
-    chain.push_back(GroupState{});
-    chain.back().Init(std::move(key), num_aggs);
-    ++num_groups_;
-    return &chain.back();
-  }
+ private:
+  std::vector<uint32_t> ids_;
+};
 
-  std::unordered_map<uint64_t, std::vector<GroupState>> buckets_;
-  size_t num_groups_ = 0;
+/// \brief The group table of both hash-aggregate engines: maps each distinct
+/// GROUP BY key to a dense group id, handed out in first-seen order, so
+/// groups emit in the order their first row arrived, whichever engine fed
+/// them.
+///
+/// Key equality is typed: two keys are one group when every column pair is
+/// both NULL, or of one type and equal — INT by value, DOUBLE by `==` (so
+/// -0.0 meets 0.0 and a NaN meets nothing), STRING by bytes. INT 1 and
+/// DOUBLE 1.0 are distinct groups, as they are distinct rows to DISTINCT.
+/// Keys are stored column-wise as a type tag plus a 64-bit payload (the
+/// INT, the DOUBLE's bits, or an index into the column's string pool), so
+/// the batch path maps typed columns to group ids without boxing a Value.
+class GroupTable {
+ public:
+  explicit GroupTable(size_t num_keys = 0) : cols_(num_keys) {}
+
+  /// Number of groups; ids are [0, size()).
+  size_t size() const { return size_; }
+
+  /// Row path: the group of `key` (one value per key column), created if new.
+  uint32_t FindOrInsert(const Tuple& key);
+
+  /// Batch path: (*gids)[s] is the group of the s-th selected row of `in`,
+  /// whose key columns `keys` evaluated to. New groups are created in
+  /// selected-row order, exactly as FindOrInsert over the same rows would.
+  void Map(const std::vector<const VecColumn*>& keys, const Batch& in,
+           std::vector<uint32_t>* gids);
+
+  /// Group g's value in key column k.
+  Value KeyAt(size_t k, uint32_t g) const;
+
+ private:
+  /// One key value, unboxed: `bits` holds the INT or the DOUBLE's bits;
+  /// `str` views a STRING's bytes.
+  struct Cell {
+    ValueType type = ValueType::kNull;
+    uint64_t bits = 0;
+    std::string_view str;
+  };
+
+  /// A key column: per group a type tag and payload (a pool index for
+  /// STRING keys).
+  struct KeyColumn {
+    std::vector<ValueType> types;
+    std::vector<uint64_t> bits;
+    std::vector<std::string> pool;
+  };
+
+  static Cell CellOf(const Value& v);
+  static Cell CellAt(const VecColumn& c, size_t r);
+  static uint64_t CellHash(const Cell& c);
+  bool CellEquals(size_t k, uint32_t g, const Cell& c) const;
+
+  /// The group of the key `cells` (one per key column), created if new.
+  uint32_t FindOrInsert(const Cell* cells);
+  uint32_t Add(uint64_t h, const Cell* cells);
+
+  std::vector<KeyColumn> cols_;
+  HashIdIndex index_;
+  size_t size_ = 0;
+  std::vector<Cell> cells_;  ///< Map scratch: one row's key
+  DirectIds direct_;         ///< group per small key of one INT key column
 };
 
 }  // namespace aidb::exec

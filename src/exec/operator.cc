@@ -333,32 +333,51 @@ void HashAggregateOp::OpenImpl() {
   results_.clear();
   cursor_ = 0;
 
-  GroupMap groups;
+  GroupTable groups(keys_.size());
+  // A no-key aggregate has its one group even over empty input: finalizing
+  // its empty accumulators yields COUNT 0 and NULL for the rest.
+  if (keys_.empty()) groups.FindOrInsert(Tuple{});
+  std::vector<std::vector<AggAcc>> accs(aggs_.size());
   Tuple row;
+  Tuple key;
   while (children_[0]->Next(&row)) {
-    Status s = groups.Accumulate(keys_, aggs_, row);
-    if (!s.ok()) {
-      Fail(std::move(s));
-      return;  // results_ stays empty; the executor sees FirstError()
+    key.clear();
+    for (const auto& k : keys_) {
+      Result<Value> v = k.Eval(row);
+      if (!v.ok()) {
+        Fail(v.status());
+        return;  // results_ stays empty; the executor sees FirstError()
+      }
+      key.push_back(std::move(v).ValueOrDie());
+    }
+    const uint32_t g = groups.FindOrInsert(key);
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      if (accs[i].size() <= g) accs[i].resize(groups.size());
+      double v = 0.0;  // COUNT(*)
+      if (aggs_[i].arg) {
+        Result<Value> val = aggs_[i].arg->Eval(row);
+        if (!val.ok()) {
+          Fail(val.status());
+          return;
+        }
+        if (val.ValueOrDie().is_null()) continue;  // NULL arguments skipped
+        v = val.ValueOrDie().AsFeature();
+      }
+      accs[i][g].Fold(v);
     }
   }
 
-  // No-group aggregate over empty input still yields one row of zero counts.
-  if (keys_.empty() && groups.num_groups() == 0) {
+  results_.reserve(groups.size());
+  for (uint32_t g = 0; g < groups.size(); ++g) {
     Tuple out;
+    out.reserve(keys_.size() + aggs_.size());
+    for (size_t k = 0; k < keys_.size(); ++k) out.push_back(groups.KeyAt(k, g));
     for (size_t i = 0; i < aggs_.size(); ++i) {
-      if (aggs_[i].func == sql::AggFunc::kCount) {
-        out.push_back(Value(static_cast<int64_t>(0)));
-      } else {
-        out.push_back(Value::Null());
-      }
+      out.push_back(FinalizeAgg(aggs_[i].func,
+                                g < accs[i].size() ? accs[i][g] : AggAcc{}));
     }
     results_.push_back(std::move(out));
-    return;
   }
-
-  groups.ForEach(
-      [this](const GroupState& g) { results_.push_back(g.Finalize(aggs_)); });
 }
 
 bool HashAggregateOp::NextImpl(Tuple* out) {

@@ -55,7 +55,7 @@ class Operator {
     Timer t;
     bool more = NextImpl(out);
     elapsed_us_ += t.ElapsedMicros();
-    ++next_calls_;
+    if (!counts_batches_) ++next_calls_;
     return more;
   }
 
@@ -114,8 +114,9 @@ class Operator {
   const txn::Snapshot& snapshot() const { return snap_; }
 
   size_t rows_produced() const { return rows_produced_; }
-  /// Next() invocations while traced (NextBatch() calls on batch operators;
-  /// per-worker row counts of a parallel scan live in worker_rows()).
+  /// Next() invocations while traced; on batch operators, batches pulled,
+  /// whether a batch parent or a row parent pulls them (per-worker row
+  /// counts of a parallel scan live in worker_rows()).
   uint64_t next_calls() const { return next_calls_; }
   /// Inclusive wall time (this operator and its children) while traced.
   double elapsed_us() const { return elapsed_us_; }
@@ -170,6 +171,8 @@ class Operator {
   size_t fused_work_ = 0;
   Status error_;
   bool tracing_ = false;
+  /// Set by batch operators, which count next_calls_ per batch themselves.
+  bool counts_batches_ = false;
   uint64_t next_calls_ = 0;
   double elapsed_us_ = 0.0;
   double est_rows_ = -1.0;

@@ -1,6 +1,9 @@
 #include "exec/vec/vec_ops.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <functional>
 
 #include "exec/vec/col_cache.h"
 
@@ -771,6 +774,142 @@ bool VecProjectOp::NextBatchImpl(Batch* out) {
 
 // ----- VecHashJoin -----
 
+namespace {
+
+/// Appends src's rows `rows` to `dst`, a column store that outlives the
+/// batch. Agreeing kinds stay typed, string codes re-mapping into dst's own
+/// dictionary through `dict_index`; an all-NULL src (a pruned placeholder)
+/// appends NULLs; any other disagreement demotes dst to exact Values, as
+/// the scan does for an INT stored in a DOUBLE column.
+void AppendRows(const VecColumn& src, const std::vector<uint32_t>& rows,
+                VecColumn* dst,
+                std::unordered_map<std::string, int32_t>* dict_index) {
+  using Kind = VecColumn::Kind;
+  const size_t old = dst->rows;
+  const size_t n = rows.size();
+  if (src.kind != dst->kind && src.kind != Kind::kNull) {
+    if (dst->kind == Kind::kNull) {
+      dst->Resize(src.kind, old);  // the rows so far were all NULL
+    } else if (dst->kind != Kind::kGeneric) {
+      dst->DemoteToGeneric(old);
+    }
+    dict_index->clear();
+  }
+  dst->rows = old + n;
+  dst->err.resize(old + n, 0);
+  switch (dst->kind) {
+    case Kind::kNull:
+      return;
+    case Kind::kInt:
+      dst->ints.resize(old + n, 0);
+      dst->valid.resize(old + n, 0);
+      if (src.kind == Kind::kNull) return;
+      for (size_t i = 0; i < n; ++i) {
+        dst->ints[old + i] = src.ints[rows[i]];
+        dst->valid[old + i] = src.valid[rows[i]];
+      }
+      return;
+    case Kind::kDouble:
+      dst->doubles.resize(old + n, 0.0);
+      dst->valid.resize(old + n, 0);
+      if (src.kind == Kind::kNull) return;
+      for (size_t i = 0; i < n; ++i) {
+        dst->doubles[old + i] = src.doubles[rows[i]];
+        dst->valid[old + i] = src.valid[rows[i]];
+      }
+      return;
+    case Kind::kString: {
+      dst->codes.resize(old + n, 0);
+      dst->valid.resize(old + n, 0);
+      if (src.kind == Kind::kNull) return;
+      std::vector<int32_t> remap(src.dict.size(), -1);
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t r = rows[i];
+        if (!src.valid[r]) continue;
+        int32_t& code = remap[static_cast<size_t>(src.codes[r])];
+        if (code < 0) {
+          const std::string& v = src.dict[static_cast<size_t>(src.codes[r])];
+          auto [it, inserted] = dict_index->emplace(
+              v, static_cast<int32_t>(dst->dict.size()));
+          if (inserted) dst->dict.push_back(v);
+          code = it->second;
+        }
+        dst->codes[old + i] = code;
+        dst->valid[old + i] = 1;
+      }
+      return;
+    }
+    case Kind::kGeneric:
+      dst->generic.reserve(old + n);
+      for (size_t i = 0; i < n; ++i) dst->generic.push_back(src.ValueAt(rows[i]));
+      return;
+  }
+}
+
+/// *out = src's rows idx[0..n), in that order, kinds kept; string codes
+/// re-map into a compact dictionary through `remap`, which is all -1 on
+/// entry and is left so. (Raw pointers throughout: a store through the
+/// uint8_t validity bytes may alias anything, and would otherwise reload
+/// every vector's data pointer per row.)
+void GatherRows(const VecColumn& src, const uint32_t* idx, size_t n,
+                VecColumn* out, std::vector<int32_t>* remap) {
+  using Kind = VecColumn::Kind;
+  out->Resize(src.kind, n);
+  const uint8_t* sv = src.valid.data();
+  uint8_t* dv = out->valid.data();
+  switch (src.kind) {
+    case Kind::kNull:
+      break;
+    case Kind::kInt: {
+      const int64_t* s = src.ints.data();
+      int64_t* d = out->ints.data();
+      for (size_t i = 0; i < n; ++i) {
+        d[i] = s[idx[i]];
+        dv[i] = sv[idx[i]];
+      }
+      break;
+    }
+    case Kind::kDouble: {
+      const double* s = src.doubles.data();
+      double* d = out->doubles.data();
+      for (size_t i = 0; i < n; ++i) {
+        d[i] = s[idx[i]];
+        dv[i] = sv[idx[i]];
+      }
+      break;
+    }
+    case Kind::kString: {
+      if (remap->size() < src.dict.size()) remap->resize(src.dict.size(), -1);
+      int32_t* m = remap->data();
+      const int32_t* s = src.codes.data();
+      int32_t* d = out->codes.data();
+      for (size_t i = 0; i < n; ++i) {
+        if (!sv[idx[i]]) continue;
+        const size_t code = static_cast<size_t>(s[idx[i]]);
+        if (m[code] < 0) {
+          m[code] = static_cast<int32_t>(out->dict.size());
+          out->dict.push_back(src.dict[code]);
+        }
+        d[i] = m[code];
+        dv[i] = 1;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        if (sv[idx[i]]) m[static_cast<size_t>(s[idx[i]])] = -1;
+      }
+      break;
+    }
+    case Kind::kGeneric:
+      for (size_t i = 0; i < n; ++i) out->generic[i] = src.generic[idx[i]];
+      break;
+  }
+  if (!src.has_err) return;
+  for (size_t i = 0; i < n; ++i) {
+    if (src.err[idx[i]]) out->MarkError(i);
+  }
+}
+
+}  // namespace
+
 VecHashJoinOp::VecHashJoinOp(std::unique_ptr<Operator> left,
                              std::unique_ptr<Operator> right, size_t left_key,
                              size_t right_key)
@@ -781,97 +920,240 @@ VecHashJoinOp::VecHashJoinOp(std::unique_ptr<Operator> left,
   children_.push_back(std::move(right));
 }
 
-void VecHashJoinOp::VecOpenImpl() {
-  children_[0]->Open();
-  children_[1]->Open();
-  build_.clear();
-  build_rows_.clear();
-  probe_valid_ = false;
-  probe_pos_ = 0;
-  matches_ = nullptr;
-  match_cursor_ = 0;
+bool VecHashJoinOp::KeyAt(const VecColumn& c, size_t r, Key* k) {
+  switch (c.kind) {
+    case VecColumn::Kind::kNull:
+      return false;
+    case VecColumn::Kind::kInt:
+      *k = {false, static_cast<double>(c.ints[r]), {}};
+      return c.valid[r] != 0;
+    case VecColumn::Kind::kDouble:
+      *k = {false, c.doubles[r], {}};
+      return c.valid[r] != 0 && k->num == k->num;
+    case VecColumn::Kind::kString:
+      *k = {true, 0.0, c.dict[static_cast<size_t>(c.codes[r])]};
+      return c.valid[r] != 0;
+    case VecColumn::Kind::kGeneric:
+      break;
+  }
+  const Value& v = c.generic[r];
+  if (v.is_null()) return false;
+  if (v.type() == ValueType::kString) {
+    *k = {true, 0.0, v.AsString()};
+    return true;
+  }
+  *k = {false, v.AsDouble(), {}};
+  return k->num == k->num;
+}
 
-  // Build rows insert in right-stream order, exactly like HashJoinOp, so the
-  // per-hash match order — and thus output row order — is identical.
+uint64_t VecHashJoinOp::KeyHash(const Key& k) {
+  if (k.is_string) return MixHash(std::hash<std::string_view>{}(k.str));
+  // -0.0 == 0.0, so both must hash alike.
+  return MixHash(std::bit_cast<uint64_t>(k.num == 0.0 ? 0.0 : k.num));
+}
+
+uint32_t VecHashJoinOp::FindKey(uint64_t h, const Key& k) const {
+  return build_.index.Find(h, [&](uint32_t id) {
+    if (build_.key_is_string[id] != k.is_string) return false;
+    return k.is_string ? build_.key_strs[id] == k.str
+                       : build_.key_nums[id] == k.num;
+  });
+}
+
+void VecHashJoinOp::Build() {
+  BuildSide& bs = build_;
+  const size_t width = children_[1]->output().size();
+  // Pass 1, arrival order: every joinable right row, with its key id.
+  std::vector<VecColumn> arrived(width);
+  std::vector<std::unordered_map<std::string, int32_t>> dicts(width);
+  std::vector<uint32_t> row_keys;
+  std::vector<uint32_t> kept;
   Batch b;
   while (FetchChildBatch(children_[1].get(), &b)) {
+    const VecColumn& kc = b.cols[right_key_];
+    kept.clear();
     const size_t n = b.ActiveCount();
     for (size_t s = 0; s < n; ++s) {
-      uint32_t r = b.ActiveRow(s);
-      Value key = b.cols[right_key_].ValueAt(r);
-      if (key.is_null()) continue;  // NULL never equi-joins
-      build_[JoinKeyHash(key)].push_back(
-          static_cast<uint32_t>(build_rows_.size()));
-      build_rows_.push_back(b.MaterializeRow(r));
+      const uint32_t r = b.ActiveRow(s);
+      Key k;
+      if (!KeyAt(kc, r, &k)) continue;
+      const uint64_t h = KeyHash(k);
+      uint32_t id = FindKey(h, k);
+      if (id == HashIdIndex::kNone) {
+        id = static_cast<uint32_t>(bs.key_nums.size());
+        bs.key_is_string.push_back(k.is_string);
+        bs.key_nums.push_back(k.num);
+        bs.key_strs.emplace_back(k.str);
+        bs.index.Insert(h, id);
+        // A number equal to a small non-negative integer is found by value.
+        if (!k.is_string && k.num >= 0.0 && k.num < static_cast<double>(kDirectKeys) &&
+            k.num == std::floor(k.num)) {
+          bs.direct.Insert(static_cast<uint64_t>(k.num), id);
+        }
+      }
+      row_keys.push_back(id);
+      kept.push_back(r);
     }
+    for (size_t c = 0; c < width; ++c) {
+      AppendRows(b.cols[c], kept, &arrived[c], &dicts[c]);
+    }
+  }
+  // Pass 2: group the rows by key id, a stable counting sort, so a probe
+  // row's matches are one contiguous run of the store, in arrival order.
+  const size_t num_keys = bs.key_nums.size();
+  bs.begin.assign(num_keys + 1, 0);
+  for (uint32_t id : row_keys) ++bs.begin[id + 1];
+  for (size_t id = 0; id < num_keys; ++id) bs.begin[id + 1] += bs.begin[id];
+  std::vector<uint32_t> fill(bs.begin.begin(), bs.begin.end() - 1);
+  std::vector<uint32_t> order(row_keys.size());
+  for (uint32_t r = 0; r < row_keys.size(); ++r) order[fill[row_keys[r]]++] = r;
+  bs.cols.resize(width);
+  for (size_t c = 0; c < width; ++c) {
+    GatherRows(arrived[c], order.data(), order.size(), &bs.cols[c], &remap_);
   }
 }
 
+void VecHashJoinOp::LookupProbe() {
+  const VecColumn& c = probe_.cols[left_key_];
+  const size_t n = probe_.ActiveCount();
+  keys_.assign(n, HashIdIndex::kNone);
+  uint32_t* keys = keys_.data();
+  if (c.kind != VecColumn::Kind::kInt) {
+    for (size_t s = 0; s < n; ++s) {
+      Key k;
+      if (KeyAt(c, probe_.ActiveRow(s), &k)) keys[s] = FindKey(KeyHash(k), k);
+    }
+    return;
+  }
+  const int64_t* v = c.ints.data();
+  const uint8_t* valid = c.valid.data();
+  for (size_t s = 0; s < n; ++s) {
+    const uint32_t r = probe_.ActiveRow(s);
+    if (!valid[r]) continue;
+    uint32_t id = build_.direct.Find(static_cast<uint64_t>(v[r]));
+    if (id == HashIdIndex::kNone) {
+      const Key k{false, static_cast<double>(v[r]), {}};
+      id = FindKey(KeyHash(k), k);
+    }
+    keys[s] = id;
+  }
+}
+
+void VecHashJoinOp::VecOpenImpl() {
+  children_[0]->Open();
+  children_[1]->Open();
+  Reset();
+  Build();
+}
+
 bool VecHashJoinOp::NextBatchImpl(Batch* out) {
-  const size_t width = output_.size();
-  const size_t left_width = children_[0]->output().size();
-  out->Clear();
-  out->cols.resize(width);
-  for (auto& c : out->cols) c.kind = VecColumn::Kind::kGeneric;
-  size_t count = 0;
-  auto finalize = [&] {
-    for (auto& c : out->cols) {
-      c.rows = count;
-      c.err.assign(count, 0);
-    }
-    out->rows = count;
-    rows_produced_ += count;
-  };
+  probe_rows_.resize(kBatchRows);
+  build_rows_.resize(kBatchRows);
   for (;;) {
-    if (matches_ != nullptr) {
-      while (match_cursor_ < matches_->size()) {
-        const Tuple& inner = build_rows_[(*matches_)[match_cursor_++]];
-        // Re-check equality (hash collisions).
-        if (inner[right_key_].Compare(probe_key_) != 0) continue;
-        for (size_t i = 0; i < left_width; ++i) {
-          out->cols[i].generic.push_back(probe_tuple_[i]);
-        }
-        for (size_t j = 0; j < inner.size(); ++j) {
-          out->cols[left_width + j].generic.push_back(inner[j]);
-        }
-        if (++count == kBatchRows) {
-          finalize();
-          return true;
-        }
-      }
-      matches_ = nullptr;
-    }
-    if (!probe_valid_ || probe_pos_ >= probe_.ActiveCount()) {
-      if (!FetchChildBatch(children_[0].get(), &probe_)) {
-        finalize();
-        return count > 0;
-      }
-      probe_valid_ = true;
+    if (probe_pos_ >= keys_.size()) {
+      if (!FetchChildBatch(children_[0].get(), &probe_)) return false;
+      LookupProbe();
       probe_pos_ = 0;
+      match_pos_ = HashIdIndex::kNone;
       continue;
     }
-    uint32_t r = probe_.ActiveRow(probe_pos_++);
-    Value key = probe_.cols[left_key_].ValueAt(r);
-    if (key.is_null()) continue;
-    auto it = build_.find(JoinKeyHash(key));
-    if (it == build_.end()) continue;
-    probe_tuple_ = probe_.MaterializeRow(r);
-    probe_key_ = std::move(key);
-    matches_ = &it->second;
-    match_cursor_ = 0;
+    // Expand matches into (probe row, build row) pairs; a probe row whose
+    // matches do not fit resumes at match_pos_ on the next call.
+    const uint32_t* keys = keys_.data();
+    const uint32_t* begin = build_.begin.data();
+    uint32_t* pr = probe_rows_.data();
+    uint32_t* br = build_rows_.data();
+    const size_t n = keys_.size();
+    size_t pos = probe_pos_;
+    uint32_t match = match_pos_;
+    size_t m = 0;
+    while (m < kBatchRows && pos < n) {
+      const uint32_t id = keys[pos];
+      if (id == HashIdIndex::kNone) {
+        ++pos;
+        continue;
+      }
+      if (match == HashIdIndex::kNone) match = begin[id];
+      const uint32_t row = probe_.ActiveRow(pos);
+      const uint32_t take =
+          std::min<uint32_t>(begin[id + 1] - match,
+                             static_cast<uint32_t>(kBatchRows - m));
+      for (uint32_t t = 0; t < take; ++t) {
+        pr[m + t] = row;
+        br[m + t] = match + t;
+      }
+      m += take;
+      match += take;
+      if (match == begin[id + 1]) {
+        match = HashIdIndex::kNone;
+        ++pos;
+      }
+    }
+    probe_pos_ = pos;
+    match_pos_ = match;
+    if (m == 0) continue;
+    const size_t left_width = probe_.cols.size();
+    out->ResetForWidth(left_width + build_.cols.size());
+    for (size_t c = 0; c < left_width; ++c) {
+      GatherRows(probe_.cols[c], pr, m, &out->cols[c], &remap_);
+    }
+    for (size_t c = 0; c < build_.cols.size(); ++c) {
+      GatherRows(build_.cols[c], br, m, &out->cols[left_width + c], &remap_);
+    }
+    out->rows = m;
+    rows_produced_ += m;
+    return true;
   }
 }
 
 void VecHashJoinOp::CloseImpl() {
   children_[0]->Close();
   children_[1]->Close();
-  build_.clear();
-  build_rows_.clear();
+  Reset();
+}
+
+void VecHashJoinOp::Reset() {
+  build_ = BuildSide();
   probe_.Clear();
-  probe_valid_ = false;
+  keys_.clear();
+  probe_pos_ = 0;
+  match_pos_ = HashIdIndex::kNone;
 }
 
 // ----- VecHashAggregate -----
+
+namespace {
+
+/// Calls fold(s, v) for each selected row s of `in` whose value in `c` is
+/// non-NULL, rows ascending; v is the value's Value::AsFeature.
+template <typename Fold>
+void ForEachArg(const VecColumn& c, const Batch& in, Fold&& fold) {
+  const size_t n = in.ActiveCount();
+  switch (c.kind) {
+    case VecColumn::Kind::kInt:
+      for (size_t s = 0; s < n; ++s) {
+        const uint32_t r = in.ActiveRow(s);
+        if (c.valid[r]) fold(s, static_cast<double>(c.ints[r]));
+      }
+      break;
+    case VecColumn::Kind::kDouble:
+      for (size_t s = 0; s < n; ++s) {
+        const uint32_t r = in.ActiveRow(s);
+        if (c.valid[r]) fold(s, c.doubles[r]);
+      }
+      break;
+    case VecColumn::Kind::kNull:
+      break;
+    default:
+      for (size_t s = 0; s < n; ++s) {
+        const uint32_t r = in.ActiveRow(s);
+        if (!c.IsNullAt(r)) fold(s, c.FeatureAt(r));
+      }
+      break;
+  }
+}
+
+}  // namespace
 
 VecHashAggregateOp::VecHashAggregateOp(std::unique_ptr<Operator> child,
                                        std::vector<VecExpr> keys,
@@ -884,8 +1166,14 @@ VecHashAggregateOp::VecHashAggregateOp(std::unique_ptr<Operator> child,
       aggs_(std::move(aggs)),
       args_(std::move(args)) {
   output_ = std::move(key_cols);
-  for (const auto& a : aggs_) {
-    output_.push_back({"", a.out_name, ValueType::kDouble});
+  for (size_t i = 0; i < aggs_.size(); ++i) {
+    output_.push_back({"", aggs_[i].out_name, ValueType::kDouble});
+    const int col = aggs_[i].arg ? aggs_[i].arg->AsColumnIndex() : -1;
+    size_t source = i;
+    for (size_t j = 0; j < i && col >= 0 && source == i; ++j) {
+      if (aggs_[j].arg && aggs_[j].arg->AsColumnIndex() == col) source = j;
+    }
+    fold_source_.push_back(source);
   }
   children_.push_back(std::move(child));
 }
@@ -907,172 +1195,121 @@ Status VecHashAggregateOp::ScalarErrorAt(const Batch& in, size_t r) const {
 
 void VecHashAggregateOp::VecOpenImpl() {
   children_[0]->Open();
-  results_.clear();
+  groups_ = GroupTable(keys_.size());
+  accs_.assign(aggs_.size(), {});
   cursor_ = 0;
-
-  GroupMap groups;
-  // No-key aggregation folds into one state directly — no hashing, no key
-  // tuples. Finalizing a zero-count state yields exactly the empty-input row
-  // (COUNT 0, other aggregates NULL) the serial operator special-cases.
-  GroupState single;
+  // No-key aggregation folds into its one group directly — no hashing.
+  // Finalizing empty accumulators yields exactly the empty-input row
+  // (COUNT 0, other aggregates NULL).
   const bool no_key = keys_.empty();
-  if (no_key) single.Init({}, aggs_.size());
+  if (no_key) {
+    groups_.FindOrInsert(Tuple{});
+    for (auto& acc : accs_) acc.resize(1);
+  }
 
   Batch in;
   std::vector<VecColumn> key_scratch(keys_.size());
   std::vector<VecColumn> arg_scratch(aggs_.size());
   std::vector<const VecColumn*> key_cols(keys_.size(), nullptr);
   std::vector<const VecColumn*> arg_cols(aggs_.size(), nullptr);
+  std::vector<uint32_t> gids;
   while (FetchChildBatch(children_[0].get(), &in)) {
     if (in.rows == 0) continue;
+    bool any_err = false;
     for (size_t k = 0; k < keys_.size(); ++k) {
       key_cols[k] = &keys_[k].EvalRef(in, &key_scratch[k]);
+      any_err = any_err || key_cols[k]->has_err;
     }
-    bool any_err = false;
     for (size_t i = 0; i < aggs_.size(); ++i) {
       if (aggs_[i].arg) {
         arg_cols[i] = &args_[i].EvalRef(in, &arg_scratch[i]);
         any_err = any_err || arg_cols[i]->has_err;
       }
     }
-    for (const auto* kc : key_cols) any_err = any_err || kc->has_err;
-
     const size_t n = in.ActiveCount();
+    for (size_t s = 0; any_err && s < n; ++s) {
+      const uint32_t r = in.ActiveRow(s);
+      bool row_err = false;
+      for (const auto* kc : key_cols) row_err = row_err || kc->err[r] != 0;
+      for (size_t i = 0; i < aggs_.size() && !row_err; ++i) {
+        row_err = aggs_[i].arg && arg_cols[i]->err[r] != 0;
+      }
+      if (row_err) {
+        // The lowest selected errored row fails the aggregate, which then
+        // produces no rows — as the serial operator, whichever rows it
+        // folded before.
+        Fail(ScalarErrorAt(in, r));
+        groups_ = GroupTable();
+        accs_.clear();
+        return;
+      }
+    }
 
-    // Typed no-key fast path: with one state, no keys and no errored rows,
-    // each aggregate folds in a tight loop over its own column. The loop
-    // visits selected rows in ascending order, so the per-slot fold sequence
-    // — and thus the floating-point sum — is identical to the per-row path.
-    if (no_key && !any_err) {
+    if (no_key) {
       for (size_t i = 0; i < aggs_.size(); ++i) {
+        if (fold_source_[i] != i) continue;
+        AggAcc& acc = accs_[i][0];
         if (!aggs_[i].arg) {
-          // COUNT(*): n FoldOne(i, 0.0) calls end in exactly this state —
-          // sum stays +0.0, min/max pin to 0.0 on the first fold.
-          if (n > 0) {
-            if (single.counts[i] == 0) {
-              single.mins[i] = 0.0;
-              single.maxs[i] = 0.0;
-            }
-            single.counts[i] += n;
+          // COUNT(*): n Fold(0.0) calls end in exactly this state — sum
+          // stays +0.0, min/max pin to 0.0 on the first fold.
+          if (n > 0 && acc.count == 0) {
+            acc.min = 0.0;
+            acc.max = 0.0;
           }
+          acc.count += n;
           continue;
         }
-        const VecColumn& c = *arg_cols[i];
-        // Register accumulation: same per-slot fold sequence as FoldOne
-        // (rows ascending, sum += in order, first value pins min/max), so
-        // the floating-point results are bit-identical — the state just
-        // lives in registers for the batch instead of round-tripping
-        // through GroupState memory every row.
-        double sum = single.sums[i], mn = single.mins[i], mx = single.maxs[i];
-        size_t cnt = single.counts[i];
-        auto fold = [&](double v) {
-          if (cnt == 0) {
-            mn = v;
-            mx = v;
-          } else {
-            mn = std::min(mn, v);
-            mx = std::max(mx, v);
-          }
-          sum += v;
-          ++cnt;
-        };
-        switch (c.kind) {
-          case VecColumn::Kind::kInt:
-            for (size_t s = 0; s < n; ++s) {
-              uint32_t r = in.ActiveRow(s);
-              if (c.valid[r]) fold(static_cast<double>(c.ints[r]));
-            }
-            break;
-          case VecColumn::Kind::kDouble:
-            for (size_t s = 0; s < n; ++s) {
-              uint32_t r = in.ActiveRow(s);
-              if (c.valid[r]) fold(c.doubles[r]);
-            }
-            break;
-          default:
-            for (size_t s = 0; s < n; ++s) {
-              uint32_t r = in.ActiveRow(s);
-              if (!c.IsNullAt(r)) fold(c.FeatureAt(r));
-            }
-            break;
-        }
-        single.sums[i] = sum;
-        single.mins[i] = mn;
-        single.maxs[i] = mx;
-        single.counts[i] = cnt;
+        // Fold in a register copy: the same per-value sequence, so
+        // bit-identical results, without a memory round trip per row.
+        AggAcc local = acc;
+        ForEachArg(*arg_cols[i], in, [&local](size_t, double v) { local.Fold(v); });
+        acc = local;
       }
       continue;
     }
 
-    for (size_t s = 0; s < n; ++s) {
-      uint32_t r = in.ActiveRow(s);
-      if (any_err) {
-        bool row_err = false;
-        for (const auto* kc : key_cols) row_err = row_err || kc->err[r] != 0;
-        for (size_t i = 0; i < aggs_.size() && !row_err; ++i) {
-          row_err = aggs_[i].arg && arg_cols[i]->err[r] != 0;
-        }
-        if (row_err) {
-          // Rows before r folded already — invisible, since a failed
-          // aggregate produces no results, same as the serial operator.
-          Fail(ScalarErrorAt(in, r));
-          return;
-        }
+    groups_.Map(key_cols, in, &gids);
+    const uint32_t* g = gids.data();
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      if (fold_source_[i] != i) continue;
+      accs_[i].resize(groups_.size());
+      AggAcc* acc = accs_[i].data();
+      if (!aggs_[i].arg) {
+        for (size_t s = 0; s < n; ++s) acc[g[s]].Fold(0.0);  // COUNT(*)
+        continue;
       }
-      GroupState* state;
-      if (no_key) {
-        state = &single;
-      } else {
-        Tuple key;
-        key.reserve(key_cols.size());
-        uint64_t h = 1469598103934665603ULL;
-        for (const auto* kc : key_cols) {
-          key.push_back(kc->ValueAt(r));
-          h = (h ^ key.back().Hash()) * 1099511628211ULL;
-        }
-        state = groups.GetOrCreate(h, std::move(key), aggs_.size());
-      }
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        if (aggs_[i].arg) {
-          const VecColumn& c = *arg_cols[i];
-          if (c.IsNullAt(r)) continue;  // NULL arguments skipped
-          state->FoldOne(i, c.FeatureAt(r));
-        } else {
-          state->FoldOne(i, 0.0);  // COUNT(*)
-        }
-      }
+      ForEachArg(*arg_cols[i], in,
+                 [acc, g](size_t s, double v) { acc[g[s]].Fold(v); });
     }
   }
-
-  if (no_key) {
-    results_.push_back(single.Finalize(aggs_));
-    return;
-  }
-  groups.ForEach(
-      [this](const GroupState& g) { results_.push_back(g.Finalize(aggs_)); });
 }
 
 bool VecHashAggregateOp::NextBatchImpl(Batch* out) {
-  if (cursor_ >= results_.size()) return false;
-  out->Clear();
-  const size_t width = output_.size();
-  out->cols.resize(width);
-  for (auto& c : out->cols) c.kind = VecColumn::Kind::kGeneric;
-  size_t count = 0;
-  while (cursor_ < results_.size() && count < kBatchRows) {
-    const Tuple& row = results_[cursor_++];
-    for (size_t c = 0; c < width; ++c) {
-      out->cols[c].generic.push_back(row[c]);
+  if (cursor_ >= groups_.size()) return false;
+  const size_t n = std::min<size_t>(groups_.size() - cursor_, kBatchRows);
+  const size_t num_keys = keys_.size();
+  out->ResetForWidth(num_keys + aggs_.size());
+  for (auto& c : out->cols) c.Resize(VecColumn::Kind::kGeneric, n);
+  for (size_t j = 0; j < n; ++j) {
+    const uint32_t g = cursor_ + static_cast<uint32_t>(j);
+    for (size_t k = 0; k < num_keys; ++k) {
+      out->cols[k].generic[j] = groups_.KeyAt(k, g);
     }
-    ++count;
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      out->cols[num_keys + i].generic[j] =
+          FinalizeAgg(aggs_[i].func, accs_[fold_source_[i]][g]);
+    }
   }
-  for (auto& c : out->cols) {
-    c.rows = count;
-    c.err.assign(count, 0);
-  }
-  out->rows = count;
-  rows_produced_ += count;
+  out->rows = n;
+  cursor_ += static_cast<uint32_t>(n);
+  rows_produced_ += n;
   return true;
+}
+
+void VecHashAggregateOp::CloseImpl() {
+  children_[0]->Close();
+  groups_ = GroupTable();
+  accs_ = {};
 }
 
 }  // namespace aidb::exec

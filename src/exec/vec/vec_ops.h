@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -36,6 +37,8 @@ struct LivenessMap;
 /// a volcano pipeline that never evaluates that row.
 class VecOperator : public Operator {
  public:
+  VecOperator() { counts_batches_ = true; }
+
   /// Produces the next batch. Returns false at end of stream (or on error —
   /// check FirstError()). Mirrors Operator::Next's tracing wrapper;
   /// next_calls() counts batches for vectorized operators.
@@ -59,13 +62,15 @@ class VecOperator : public Operator {
   /// Row-at-a-time view for row parents: drains batches internally. Calls
   /// NextBatchImpl directly (not NextBatch) so traced time is not counted
   /// twice, and does not bump rows_produced_ — NextBatchImpl already counts
-  /// the batch's rows.
+  /// the batch's rows. next_calls_ counts the batches pulled, as NextBatch
+  /// does, not the rows handed out.
   bool NextImpl(Tuple* out) final {
     for (;;) {
       if (drain_valid_ && drain_pos_ < drain_.ActiveCount()) {
         *out = drain_.MaterializeRow(drain_.ActiveRow(drain_pos_++));
         return true;
       }
+      if (tracing_) ++next_calls_;
       drain_valid_ = NextBatchImpl(&drain_);
       drain_pos_ = 0;
       if (!drain_valid_) return false;
@@ -232,9 +237,20 @@ class VecProjectOp : public VecOperator {
   Batch input_;
 };
 
-/// Hash join consuming and producing batches; build side is the right child,
-/// inserted in stream order so match order — and thus row order — equals the
-/// volcano HashJoinOp's.
+/// Hash join consuming and producing batches; the build side is the right
+/// child.
+///
+/// The build drains the right child once into a columnar store (typed
+/// columns stay typed; string codes re-map into one store dictionary),
+/// grouped by join key with each key's rows in arrival order — the order
+/// HashJoinOp's buckets hold them in. Key equality is Value::Compare's,
+/// which HashJoinOp re-checks within its JoinKeyHash buckets: numbers meet
+/// in double space (INT 1 joins DOUBLE 1.0), strings by bytes, NULL and NaN
+/// never. A probe batch is looked up whole and expanded into (probe row,
+/// build row) index pairs — probe rows in order, each one's matches in
+/// arrival order, so rows come out in HashJoinOp's order — and every output
+/// column is gathered from those pairs, at most kBatchRows at a time;
+/// pruned all-NULL columns cost nothing.
 class VecHashJoinOp : public VecOperator {
  public:
   VecHashJoinOp(std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
@@ -247,23 +263,56 @@ class VecHashJoinOp : public VecOperator {
   void CloseImpl() override;
 
  private:
+  /// One join key, unboxed: a number (as the double it compares as) or a
+  /// string.
+  struct Key {
+    bool is_string = false;
+    double num = 0.0;
+    std::string_view str;
+  };
+
+  /// The build side. Key ids are dense, in first-arrival order; the store
+  /// rows of key id k are [begin[k], begin[k + 1]).
+  struct BuildSide {
+    std::vector<VecColumn> cols;
+    HashIdIndex index;  ///< key hash -> key id
+    std::vector<uint8_t> key_is_string;
+    std::vector<double> key_nums;
+    std::vector<std::string> key_strs;
+    std::vector<uint32_t> begin;
+    DirectIds direct;  ///< key id per integral key below kDirectKeys
+  };
+
+  /// Reads the join key at row r of c; false for NULL and NaN, which never
+  /// join (Value::Compare finds a NaN equal to nothing).
+  static bool KeyAt(const VecColumn& c, size_t r, Key* k);
+  static uint64_t KeyHash(const Key& k);
+  /// The key id of `k` (hashing to h), or HashIdIndex::kNone.
+  uint32_t FindKey(uint64_t h, const Key& k) const;
+  /// Drains the right child into build_.
+  void Build();
+  /// keys_[s] = the key id of the s-th selected probe row (kNone: no match).
+  void LookupProbe();
+  /// Drops the build store and the probe state, releasing their memory.
+  void Reset();
+
   size_t left_key_, right_key_;
-  std::vector<Tuple> build_rows_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> build_;
+  BuildSide build_;
+  // Probe side: the current batch, its rows' key ids, and the resume point.
   Batch probe_;
-  bool probe_valid_ = false;
+  std::vector<uint32_t> keys_;
   size_t probe_pos_ = 0;
-  Tuple probe_tuple_;
-  Value probe_key_;
-  const std::vector<uint32_t>* matches_ = nullptr;
-  size_t match_cursor_ = 0;
+  uint32_t match_pos_ = HashIdIndex::kNone;  ///< next build row of probe_pos_
+  std::vector<uint32_t> probe_rows_, build_rows_;  ///< the output's pairs
+  std::vector<int32_t> remap_;  ///< gather scratch
 };
 
 /// Hash aggregation over batches. Keys and arguments evaluate column-wise;
-/// rows fold in batch order through the same GroupMap the serial operator
-/// uses (same key hashing, same insertion sequence), so group output order is
-/// identical to HashAggregateOp's. A no-key aggregate skips the group map
-/// entirely and folds into one state.
+/// each selected row maps to a dense group id through the GroupTable the
+/// serial operator also uses, then every aggregate folds its column in one
+/// typed loop, rows in order, so group output order and every sum equal
+/// HashAggregateOp's. A no-key aggregate skips the table and folds into one
+/// accumulator per aggregate.
 class VecHashAggregateOp : public VecOperator {
  public:
   /// `args` parallels `aggs`: slot i is the vectorized twin of aggs[i].arg
@@ -277,7 +326,7 @@ class VecHashAggregateOp : public VecOperator {
  protected:
   void VecOpenImpl() override;
   bool NextBatchImpl(Batch* out) override;
-  void CloseImpl() override { children_[0]->Close(); }
+  void CloseImpl() override;
 
  private:
   /// The scalar Status for the aggregate error at physical row r of `in`
@@ -288,8 +337,13 @@ class VecHashAggregateOp : public VecOperator {
   std::vector<BoundExpr> scalar_keys_;
   std::vector<AggSpec> aggs_;
   std::vector<VecExpr> args_;  ///< arg expression per agg (placeholder if none)
-  std::vector<Tuple> results_;
-  size_t cursor_ = 0;
+  /// Per aggregate, the first aggregate over the same column: it folds the
+  /// same values, so only that one folds, and this one finalizes from its
+  /// accumulators (SUM, MIN and MAX of one column fold once).
+  std::vector<size_t> fold_source_;
+  GroupTable groups_;
+  std::vector<std::vector<AggAcc>> accs_;  ///< per aggregate, per group
+  uint32_t cursor_ = 0;                    ///< next group to emit
 };
 
 }  // namespace aidb::exec

@@ -354,8 +354,11 @@ TEST_F(CrashMatrixTest, LsmBackedWorkloadRecoversAtEveryPoint) {
 
     // Reboot LSM-backed: recovery + run re-adoption must reproduce exactly
     // the committed prefix — a damaged or half-flushed SST is dropped, never
-    // surfaced.
-    auto reopened = Database::Open(dir_, LsmMatrixOpts({}));
+    // surfaced. The reboot has no injector and damage is simulated, so it
+    // skips physical fsyncs like every other open in the matrix.
+    DurabilityOptions reboot;
+    reboot.sync = false;
+    auto reopened = Database::Open(dir_, LsmMatrixOpts(reboot));
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     auto db = std::move(reopened).ValueOrDie();
 

@@ -151,6 +151,8 @@ TEST_F(VectorizedExecTest, AggregationMatchesRowEngine) {
       "SELECT grp, COUNT(*), SUM(val), AVG(val), MIN(val), MAX(val) "
       "FROM t GROUP BY grp");
   ExpectSameResults("SELECT COUNT(*), SUM(val) FROM t");
+  // Several aggregates over one column fold it once.
+  ExpectSameResults("SELECT SUM(val), MIN(val), MAX(val), AVG(val), COUNT(val) FROM t");
   ExpectSameResults("SELECT tag, COUNT(*) FROM t GROUP BY tag");
   ExpectSameResults(
       "SELECT grp, SUM(val) FROM t GROUP BY grp HAVING COUNT(*) > 600");
@@ -189,6 +191,227 @@ TEST_F(VectorizedExecTest, JoinMatchesRowEngine) {
   ExpectSameResults(
       "SELECT dim.grp, COUNT(*), SUM(fact.val) FROM fact "
       "JOIN dim ON fact.grp = dim.grp GROUP BY dim.grp ORDER BY dim.grp");
+}
+
+/// Creates `name(id INT, k <type>)` holding (i, keys[i]) for every i.
+void CreateKeyTable(Database* db, const std::string& name, ValueType type,
+                    const std::vector<Value>& keys) {
+  auto created =
+      db->catalog().CreateTable(name, Schema({{"id", ValueType::kInt},
+                                              {"k", type}}));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  Table* t = std::move(created).ValueOrDie();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(t->Insert({Value(static_cast<int64_t>(i)), keys[i]}).ok());
+  }
+}
+
+TEST_F(VectorizedExecTest, StringKeysAcrossBatchDictionaries) {
+  // Every batch dictionary-encodes its strings in its own first-seen order,
+  // so one string carries different codes in different batches, on the
+  // probe side, in the build store and in the group table.
+  std::vector<Value> fact_keys, dim_keys;
+  for (int64_t i = 0; i < 5000; ++i) {
+    fact_keys.push_back(Value("s" + std::to_string((i * 7919) % 300)));
+  }
+  for (int64_t i = 0; i < 2500; ++i) {
+    dim_keys.push_back(Value("s" + std::to_string((i * 104729) % 400)));
+  }
+  CreateKeyTable(&db_, "sf", ValueType::kString, fact_keys);
+  CreateKeyTable(&db_, "sd", ValueType::kString, dim_keys);
+  ExpectSameResults("SELECT sf.id, sd.id, sd.k FROM sf JOIN sd ON sf.k = sd.k "
+                    "WHERE sf.id < 1500");
+  ExpectSameResults("SELECT sd.id, sf.id FROM sd JOIN sf ON sd.k = sf.k "
+                    "WHERE sd.id < 40");
+  ExpectSameResults("SELECT k, COUNT(*), MIN(id) FROM sf GROUP BY k");
+  ExpectSameResults(
+      "SELECT sd.k, COUNT(*) FROM sf JOIN sd ON sf.k = sd.k GROUP BY sd.k");
+}
+
+TEST_F(VectorizedExecTest, NullJoinKeysNeverMatchAndNullIsOneGroup) {
+  std::vector<Value> left, right;
+  for (int64_t i = 0; i < 3000; ++i) {
+    left.push_back(i % 5 == 0 ? Value::Null() : Value(i % 37));
+  }
+  for (int64_t i = 0; i < 1500; ++i) {
+    right.push_back(i % 4 == 0 ? Value::Null() : Value(i % 41));
+  }
+  CreateKeyTable(&db_, "nl", ValueType::kInt, left);
+  CreateKeyTable(&db_, "nr", ValueType::kInt, right);
+  ExpectSameResults("SELECT nl.id, nr.id FROM nl JOIN nr ON nl.k = nr.k");
+  ExpectSameResults("SELECT nr.id, nl.id FROM nr JOIN nl ON nr.k = nl.k");
+  int64_t matches = 0;  // NULL meets nothing, NULL included
+  for (const Value& l : left) {
+    for (const Value& r : right) {
+      matches += !l.is_null() && !r.is_null() && l.AsInt() == r.AsInt();
+    }
+  }
+  auto joined = Run("SELECT COUNT(*) FROM nl JOIN nr ON nl.k = nr.k");
+  ASSERT_EQ(joined.rows.size(), 1u);
+  EXPECT_EQ(joined.rows[0][0].AsInt(), matches);
+  // All NULL keys form one group, first seen at row 0.
+  ExpectSameResults("SELECT k, COUNT(*) FROM nl GROUP BY k");
+  auto groups = Run("SELECT k, COUNT(*) FROM nl GROUP BY k");
+  ASSERT_EQ(groups.rows.size(), 38u);  // 0..36, and NULL
+  EXPECT_TRUE(groups.rows[0][0].is_null());
+  EXPECT_EQ(groups.rows[0][1].AsInt(), 600);
+}
+
+TEST_F(VectorizedExecTest, IntJoinsDoubleInDoubleSpace) {
+  // `1` joins `1.0`, as JoinKeyHash and Value::Compare define equality;
+  // x.5 meets no INT. Row 2500 of jd holds an INT in the DOUBLE column, so
+  // its batch carries exact Values while the others are typed, and the
+  // build store changes representation mid-build.
+  std::vector<Value> ints, doubles;
+  for (int64_t i = 0; i < 2000; ++i) ints.push_back(Value(i % 50));
+  for (int64_t i = 0; i < 3000; ++i) {
+    doubles.push_back(i == 2500      ? Value(int64_t{7})
+                      : i % 2 == 0 ? Value(static_cast<double>(i % 100 / 2))
+                                   : Value(static_cast<double>(i % 100) + 0.5));
+  }
+  CreateKeyTable(&db_, "ji", ValueType::kInt, ints);
+  CreateKeyTable(&db_, "jd", ValueType::kDouble, doubles);
+  ExpectSameResults("SELECT ji.id, jd.id, jd.k FROM ji JOIN jd ON ji.k = jd.k");
+  ExpectSameResults("SELECT jd.id, ji.id, jd.k FROM jd JOIN ji ON jd.k = ji.k");
+  int64_t matches = 0;
+  for (const Value& l : ints) {
+    for (const Value& r : doubles) matches += l.Compare(r) == 0;
+  }
+  auto r = Run("SELECT COUNT(*) FROM ji JOIN jd ON ji.k = jd.k");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), matches);
+}
+
+TEST_F(VectorizedExecTest, IntValuesInDoubleColumnAsJoinAndGroupKeys) {
+  // A DOUBLE column may hold INT values; such batches carry the column as
+  // exact Values. Both engines share one group table, so the expected rows
+  // are fixed here: INT 1 and DOUBLE 1.0 are distinct groups (as they are
+  // distinct rows to DISTINCT), emitted in first-seen order, while the
+  // join meets them both, numbers comparing in double space.
+  CreateKeyTable(&db_, "mix", ValueType::kDouble,
+                 {Value(int64_t{1}), Value(1.0), Value(int64_t{1}), Value(2.5),
+                  Value::Null(), Value(1.0), Value(int64_t{2})});
+  CreateKeyTable(&db_, "kk", ValueType::kInt,
+                 {Value(int64_t{1}), Value(int64_t{2}), Value(int64_t{3})});
+  const std::string group = "SELECT k, COUNT(*), SUM(id) FROM mix GROUP BY k";
+  ExpectSameResults(group);
+  EXPECT_EQ(Rendered(Run(group)),
+            (std::vector<std::string>{"1\x1f" "2\x1f" "2.000000\x1f",
+                                      "1.000000\x1f" "2\x1f" "6.000000\x1f",
+                                      "2.500000\x1f" "1\x1f" "3.000000\x1f",
+                                      "NULL\x1f" "1\x1f" "4.000000\x1f",
+                                      "2\x1f" "1\x1f" "6.000000\x1f"}));
+  // The mixed column on the build side, then on the probe side.
+  ASSERT_NE(Run("EXPLAIN SELECT kk.id FROM kk JOIN mix ON kk.k = mix.k")
+                .message.find("VecScan(kk) [rows=0]\n    VecScan(mix)"),
+            std::string::npos);
+  for (const std::string sql :
+       {"SELECT kk.id, mix.id FROM kk JOIN mix ON kk.k = mix.k",
+        "SELECT kk.id, mix.id FROM mix JOIN kk ON mix.k = kk.k"}) {
+    ExpectSameResults(sql);
+    std::vector<std::string> rows = Rendered(Run(sql));
+    std::sort(rows.begin(), rows.end());
+    EXPECT_EQ(rows, (std::vector<std::string>{"0\x1f" "0\x1f", "0\x1f" "1\x1f",
+                                              "0\x1f" "2\x1f", "0\x1f" "5\x1f",
+                                              "1\x1f" "6\x1f"}))
+        << sql;
+  }
+}
+
+TEST_F(VectorizedExecTest, BuildFanOutBeyondOneBatch) {
+  // Every probe row meets 3000 build rows, so one probe batch expands into
+  // many output batches, each resuming mid-run of one key's matches.
+  std::vector<Value> probe, build;
+  for (int64_t i = 0; i < 12; ++i) probe.push_back(Value(i % 3));
+  for (int64_t i = 0; i < 9000; ++i) build.push_back(Value(i % 3));
+  CreateKeyTable(&db_, "fp", ValueType::kInt, probe);
+  CreateKeyTable(&db_, "fb", ValueType::kInt, build);
+  const std::string sql = "SELECT fp.id, fb.id FROM fp JOIN fb ON fp.k = fb.k";
+  ASSERT_NE(Run("EXPLAIN " + sql).message.find("VecScan(fp) [rows=0]\n    VecScan(fb)"),
+            std::string::npos);
+  ExpectSameResults(sql);
+  EXPECT_EQ(Run(sql).rows.size(), 12u * 3000u);
+  ExpectSameResults("SELECT fb.k, COUNT(*), SUM(fb.id) FROM fp JOIN fb "
+                    "ON fp.k = fb.k GROUP BY fb.k");
+}
+
+TEST_F(VectorizedExecTest, KeysOnBothSidesOfTheDirectRange) {
+  // Integral keys in [0, kDirectKeys) are found by value, the rest through
+  // the hash index; the join and the group table must answer alike either
+  // way, for INT keys and for the DOUBLEs a join meets them as (-0.0 is 0).
+  const int64_t keys[] = {0, 5, 65535, 65536, 70000, -1, -65536, int64_t{1} << 40};
+  std::vector<Value> ints, doubles;
+  for (int64_t i = 0; i < 3000; ++i) ints.push_back(Value(keys[i % 8]));
+  for (int64_t i = 0; i < 96; ++i) {
+    const double k = static_cast<double>(keys[i % 8]);
+    doubles.push_back(i == 0 ? Value(-0.0) : Value(i % 3 == 2 ? k + 0.5 : k));
+  }
+  CreateKeyTable(&db_, "ri", ValueType::kInt, ints);
+  CreateKeyTable(&db_, "rd", ValueType::kDouble, doubles);
+  for (const std::string sql :
+       {"SELECT ri.id, rd.id, rd.k FROM ri JOIN rd ON ri.k = rd.k",
+        "SELECT rd.id, ri.id FROM rd JOIN ri ON rd.k = ri.k",
+        "SELECT a.id, b.id FROM ri a JOIN ri b ON a.k = b.k WHERE b.id < 100"}) {
+    ExpectSameResults(sql);
+  }
+  int64_t matches = 0;
+  for (const Value& l : ints) {
+    for (const Value& r : doubles) matches += l.Compare(r) == 0;
+  }
+  auto joined = Run("SELECT COUNT(*) FROM ri JOIN rd ON ri.k = rd.k");
+  ASSERT_EQ(joined.rows.size(), 1u);
+  EXPECT_EQ(joined.rows[0][0].AsInt(), matches);
+  ExpectSameResults("SELECT k, COUNT(*), SUM(id) FROM ri GROUP BY k");
+  EXPECT_EQ(Run("SELECT k, COUNT(*) FROM ri GROUP BY k").rows.size(), 8u);
+  ExpectSameResults("SELECT k, COUNT(*) FROM rd GROUP BY k");
+}
+
+TEST_F(VectorizedExecTest, ManyGroupsCompositeAndExpressionKeys) {
+  // 120k distinct keys outgrow the small-INT direct path of the group
+  // table; two-column and expression keys take its general path.
+  SeedTable("t", 120000, 40);
+  ExpectSameResults("SELECT id, COUNT(*), SUM(val) FROM t GROUP BY id");
+  EXPECT_EQ(Run("SELECT id, COUNT(*) FROM t GROUP BY id").rows.size(), 120000u);
+  ExpectSameResults(
+      "SELECT grp, tag, COUNT(*), SUM(val), MIN(val) FROM t GROUP BY grp, tag");
+  ExpectSameResults("SELECT SUM(val), COUNT(*) FROM t GROUP BY grp * 2");
+  ExpectSameResults("SELECT COUNT(*) FROM t GROUP BY val");
+  db_.SetDop(4);
+  ExpectSameResults("SELECT grp, tag, COUNT(*), SUM(val) FROM t GROUP BY grp, tag");
+  db_.SetDop(1);
+}
+
+TEST_F(VectorizedExecTest, GroupedAggregateErrorsMatchRowEngine) {
+  Schema schema({{"id", ValueType::kInt}, {"big", ValueType::kInt}});
+  Table* t =
+      std::move(db_.catalog().CreateTable("ovf", schema)).ValueOrDie();
+  for (int64_t i = 0; i < 4000; ++i) {
+    // Row 1500, mid second batch, overflows when the query adds 10.
+    int64_t big = i == 1500 ? 9223372036854775800LL : i;
+    ASSERT_TRUE(t->Insert({Value(i), Value(big)}).ok());
+  }
+  ExpectSameError("SELECT id % 7, SUM(big + 10) FROM ovf GROUP BY id % 7");
+  ExpectSameError("SELECT COUNT(*) FROM ovf GROUP BY big + 10");
+  ExpectSameError("SELECT COUNT(*), SUM(big * 2) FROM ovf GROUP BY id");
+}
+
+TEST_F(VectorizedExecTest, RowBuildSideFeedsTheBatchJoin) {
+  // An index scan stays a row operator; as the build side it reaches the
+  // batch join as exact-Value columns.
+  SeedTable("fact", 20000, 41);
+  SeedTable("d", 5000, 42);
+  Run("CREATE INDEX d_id ON d (id)");
+  ASSERT_TRUE(db_.Execute("ANALYZE fact").ok());
+  ASSERT_TRUE(db_.Execute("ANALYZE d").ok());
+  const std::string sql =
+      "SELECT fact.id, d.id, d.tag FROM fact JOIN d ON fact.grp = d.grp "
+      "WHERE d.id < 40";
+  const std::string plan = Run("EXPLAIN " + sql).message;
+  ASSERT_NE(plan.find("VecHashJoin"), std::string::npos) << plan;
+  ASSERT_NE(plan.find("    IndexScan(d"), std::string::npos) << plan;
+  ExpectSameResults(sql);
+  ExpectSameResults("SELECT d.tag, COUNT(*), SUM(fact.val) FROM fact JOIN d "
+                    "ON fact.grp = d.grp WHERE d.id < 40 GROUP BY d.tag");
 }
 
 TEST_F(VectorizedExecTest, RowOperatorsDrainBatchesTransparently) {
@@ -341,6 +564,16 @@ TEST_F(VectorizedExecTest, ExplainAnalyzeTracesBatchOperators) {
   EXPECT_NE(r.message.find("VecScan"), std::string::npos) << r.message;
   EXPECT_NE(r.message.find("VecHashAggregate"), std::string::npos) << r.message;
   EXPECT_NE(r.message.find("rows="), std::string::npos) << r.message;
+}
+
+TEST_F(VectorizedExecTest, BatchesCountBatchesUnderRowParents) {
+  SeedTable("t", 20000, 16);
+  // Sort drains the scan row by row; batches= still counts the scan's 20
+  // batches plus the call that ends the stream, not its 20000 rows.
+  auto r = Run("EXPLAIN ANALYZE SELECT id FROM t ORDER BY id LIMIT 5");
+  EXPECT_NE(r.message.find("VecScan(t) (est=20000 rows=20000 batches=21 "),
+            std::string::npos)
+      << r.message;
 }
 
 TEST_F(VectorizedExecTest, PlanCacheFingerprintSeparatesEngines) {
