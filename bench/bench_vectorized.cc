@@ -48,6 +48,12 @@ const char kJoinAgg[] =
     "SELECT dim.grp, COUNT(*) FROM dim JOIN t ON dim.grp = t.grp "
     "GROUP BY dim.grp";
 
+/// A 1/256-selective filter under a top-N sort: the batch scan gathers only
+/// the surviving rows and the sort keeps ten, two paths the 80%-selective
+/// kScanFilterAgg barely exercises. Reported for visibility (not gated).
+const char kTopK[] =
+    "SELECT id, val FROM t WHERE grp = 37 ORDER BY val DESC, id LIMIT 10";
+
 /// One shared database so the 1M-row table is seeded once per process.
 Database* GlobalDb() {
   static Database* db = [] {
@@ -135,6 +141,16 @@ void BM_JoinAgg_Vectorized(benchmark::State& state) {
   RunQuery(state, kJoinAgg, true);
 }
 BENCHMARK(BM_JoinAgg_Vectorized)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_TopK_Volcano(benchmark::State& state) {
+  RunQuery(state, kTopK, false);
+}
+BENCHMARK(BM_TopK_Volcano)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_TopK_Vectorized(benchmark::State& state) {
+  RunQuery(state, kTopK, true);
+}
+BENCHMARK(BM_TopK_Vectorized)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Morsel-parallel batch scan at dop=8.
 void BM_ScanFilterAgg_VectorizedDop8(benchmark::State& state) {

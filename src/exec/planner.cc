@@ -523,6 +523,13 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
   // projection (projection is order-preserving). DISTINCT forbids this path:
   // deduplication would destroy the order, so keys must come from the
   // select list (the SQL-standard restriction).
+  //
+  // The LIMIT built last sits right above the sort, or above the projection
+  // over it (DISTINCT is always below the post-projection sort), and both
+  // pass rows one for one, in order: the sort only ever hands out its first
+  // LIMIT rows, so it keeps no more (a top-N sort).
+  const size_t sort_limit =
+      stmt.limit >= 0 ? static_cast<size_t>(stmt.limit) : SortOp::kNoLimit;
   bool sorted_pre_projection = false;
   if (!stmt.order_by.empty() && !has_group && !stmt.distinct) {
     std::vector<SortKey> keys;
@@ -536,7 +543,8 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
       keys.push_back({static_cast<size_t>(idx), key.desc});
     }
     if (all_resolved) {
-      root = std::make_unique<SortOp>(std::move(root), std::move(keys));
+      root = std::make_unique<SortOp>(std::move(root), std::move(keys),
+                                      sort_limit);
       inherit_est(root.get());
       sorted_pre_projection = true;
     }
@@ -746,7 +754,8 @@ Result<PhysicalPlan> Planner::Plan(const sql::SelectStatement& stmt,
       }
       keys.push_back({static_cast<size_t>(idx), key.desc});
     }
-    root = std::make_unique<SortOp>(std::move(root), std::move(keys));
+    root = std::make_unique<SortOp>(std::move(root), std::move(keys),
+                                    sort_limit);
     inherit_est(root.get());
   }
 

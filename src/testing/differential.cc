@@ -70,6 +70,14 @@ DurabilityOptions DurableOpts(storage::FaultInjector* fault) {
 /// them.
 constexpr size_t kLsmFlushEvery = 5;
 
+/// At dop > 1, plans every batch scan morsel-parallel, however small the
+/// table: the generator's tables sit far below the planner's
+/// parallel_threshold_rows, so the dop > 1 legs would otherwise never run a
+/// VecParallelScanOp against the serial oracle.
+void ForceParallelScans(Database* db, size_t dop) {
+  if (dop > 1) db->mutable_planner_options().parallel_threshold_rows = 0;
+}
+
 Divergence Mismatch(const std::string& what, size_t index, const std::string& sql,
                     const std::string& expected, const std::string& actual) {
   Divergence d;
@@ -117,6 +125,7 @@ WorkloadTrace RunWorkload(const std::vector<std::string>& workload, size_t dop,
                           bool vectorized) {
   Database db;
   db.SetDop(dop);
+  ForceParallelScans(&db, dop);
   db.SetVectorized(vectorized);
   // The oracle runs with per-operator tracing ON and wall-clock observables
   // zeroed: any tracing-induced nondeterminism (a counter leaking into
@@ -164,6 +173,7 @@ WorkloadTrace RunWorkloadLsm(const std::vector<std::string>& workload,
   }
   auto db = std::move(opened).ValueOrDie();
   db->SetDop(dop);
+  ForceParallelScans(db.get(), dop);
   db->EnableTracing(true);
   db->SetDeterministicTiming(true);
   db->EnableSpans(SpansFuzzDefault());
@@ -194,6 +204,7 @@ WorkloadTrace RunWorkloadPrepared(const std::vector<std::string>& workload,
                                   size_t dop) {
   Database db;
   db.SetDop(dop);
+  ForceParallelScans(&db, dop);
   db.EnableTracing(true);
   db.SetDeterministicTiming(true);
   db.EnableSpans(SpansFuzzDefault());
