@@ -1,16 +1,20 @@
 // Ablations over the design choices the learned components depend on:
 //   A1  RMI second-stage model count (size/error/latency trade-off)
-//   A2  LSM bloom bits per key (read cost vs memory)
+//   A2  LSM bloom bits per key on the real engine (read amplification)
 //   A3  MCTS iteration budget for join ordering (quality vs time)
 //   A4  learned-cardinality training-set size (sample cost vs q-error)
 //   A5  fault-tolerant training checkpoint interval (waste vs overhead)
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <set>
+#include <string>
 
+#include "advisor/knob/storage_env.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/timer.h"
@@ -19,7 +23,6 @@
 #include "exec/planner.h"
 #include "learned/cardinality/learned_estimator.h"
 #include "learned/joinorder/learned_joinorder.h"
-#include "storage/lsm.h"
 #include "workload/generator.h"
 
 namespace {
@@ -46,21 +49,38 @@ void AblateRmiLeafCount() {
   }
 }
 
+/// Bloom bits on the real LSM engine: a tiered design with a large size
+/// ratio keeps the churn's re-frozen runs unmerged, so runs overlap and a
+/// point read probes them newest-first until the bloom-passing run that
+/// holds its slot. read_amp is runs probed per read-phase get;
+/// bloom_negatives counts the whole replay.
 void AblateBloomBits() {
+  design::LsmWorkload w;
+  w.num_writes = 4000;
+  w.num_point_reads = 1000;
+  w.key_space = 2000;
+  w.read_hit_fraction = 1.0;
+  advisor::StorageEnvOptions env;
+  env.scratch_dir = (std::filesystem::temp_directory_path() /
+                     ("aidb_a2_" + std::to_string(::getpid())))
+                        .string();
+  env.max_ops = 2048;
+  env.flush_every = 32;
   for (size_t bits : {0, 2, 4, 8, 12, 16}) {
     LsmOptions opts;
     opts.memtable_capacity = 512;
+    opts.size_ratio = 16;
+    opts.leveling = false;
     opts.bloom_bits_per_key = bits;
-    LsmTree lsm(opts);
-    Rng rng(5);
-    for (int i = 0; i < 100000; ++i) lsm.Put(rng.UniformInt(0, 1000000), "v");
-    lsm.ResetStats();
-    for (int i = 0; i < 50000; ++i) {
-      benchmark::DoNotOptimize(lsm.Get(rng.UniformInt(1000000, 3000000)));  // misses
+    auto m = advisor::MeasureLsmDesign(w, opts, env);
+    if (!m.ok()) {
+      std::printf("A2,bloom_bits,bits=%zu,error=%s\n", bits,
+                  m.status().ToString().c_str());
+      continue;
     }
     std::printf("A2,bloom_bits,bits=%zu,read_amp=%.3f,bloom_negatives=%llu\n", bits,
-                lsm.stats().ReadAmplification(),
-                static_cast<unsigned long long>(lsm.stats().bloom_negatives));
+                m.ValueOrDie().read_amp,
+                static_cast<unsigned long long>(m.ValueOrDie().stats.bloom_negatives));
   }
 }
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <tuple>
+#include <utility>
 
 #include "common/rng.h"
 #include "exec/database.h"
@@ -163,82 +165,34 @@ Result<MeasuredLsmDesign> MeasureLsmDesign(const design::LsmWorkload& workload,
 Result<MeasuredTuneResult> TuneLsmOnMeasured(const design::LsmWorkload& workload,
                                              const StorageEnvOptions& env,
                                              const LsmOptions& start) {
-  // Same discrete lattice as the analytic LsmDesignTuner, so the two tuners
-  // are comparable point by point.
-  const std::vector<size_t> memtables{512, 1024, 2048, 4096, 8192, 16384};
-  const std::vector<size_t> ratios{2, 3, 4, 6, 8, 10, 16};
-  const std::vector<size_t> blooms{0, 2, 4, 6, 8, 10, 12, 16};
   constexpr size_t kMaxEvaluations = 48;
 
   MeasuredTuneResult r;
   // Memoize measured designs: the climb revisits neighbors, and every
-  // evaluation is a full workload replay.
-  std::map<std::tuple<size_t, size_t, size_t, bool>, MeasuredLsmDesign> seen;
-  auto measure = [&](const LsmOptions& o) -> Result<MeasuredLsmDesign> {
-    auto key = std::make_tuple(o.memtable_capacity, o.size_ratio,
-                               o.bloom_bits_per_key, o.leveling);
-    auto it = seen.find(key);
-    if (it != seen.end()) return it->second;
-    AIDB_ASSIGN_OR_RETURN(MeasuredLsmDesign m, MeasureLsmDesign(workload, o, env));
-    ++r.evaluations;
-    seen.emplace(key, m);
-    return m;
+  // evaluation is a full workload replay. Once the budget is spent every
+  // design prices at +inf, so the climb stops where it stands.
+  using Key = std::tuple<size_t, size_t, size_t, bool>;
+  auto key = [](const LsmOptions& o) -> Key {
+    return {o.memtable_capacity, o.size_ratio, o.bloom_bits_per_key, o.leveling};
+  };
+  std::map<Key, MeasuredLsmDesign> seen;
+  auto cost = [&](const LsmOptions& o) -> Result<double> {
+    if (r.evaluations >= kMaxEvaluations) {
+      return std::numeric_limits<double>::infinity();
+    }
+    auto it = seen.find(key(o));
+    if (it == seen.end()) {
+      AIDB_ASSIGN_OR_RETURN(MeasuredLsmDesign m, MeasureLsmDesign(workload, o, env));
+      ++r.evaluations;
+      it = seen.emplace(key(o), std::move(m)).first;
+    }
+    return it->second.cost;
   };
 
-  AIDB_ASSIGN_OR_RETURN(r.start, measure(start));
-  r.best = r.start;
-
-  bool improved = true;
-  while (improved && r.evaluations < kMaxEvaluations) {
-    improved = false;
-    MeasuredLsmDesign round_best = r.best;
-    auto consider = [&](const LsmOptions& cand) -> Status {
-      if (r.evaluations >= kMaxEvaluations) return Status::OK();
-      AIDB_ASSIGN_OR_RETURN(MeasuredLsmDesign m, measure(cand));
-      if (m.cost < round_best.cost) round_best = m;
-      return Status::OK();
-    };
-    auto neighbors = [&](const std::vector<size_t>& lattice, size_t cur,
-                         auto setter) -> Status {
-      for (size_t i = 0; i < lattice.size(); ++i) {
-        if (lattice[i] == cur) {
-          if (i > 0) AIDB_RETURN_NOT_OK(consider(setter(lattice[i - 1])));
-          if (i + 1 < lattice.size()) {
-            AIDB_RETURN_NOT_OK(consider(setter(lattice[i + 1])));
-          }
-          return Status::OK();
-        }
-      }
-      return consider(setter(lattice[lattice.size() / 2]));  // snap on
-    };
-    AIDB_RETURN_NOT_OK(neighbors(memtables, r.best.options.memtable_capacity,
-                                 [&](size_t v) {
-                                   LsmOptions o = r.best.options;
-                                   o.memtable_capacity = v;
-                                   return o;
-                                 }));
-    AIDB_RETURN_NOT_OK(neighbors(ratios, r.best.options.size_ratio, [&](size_t v) {
-      LsmOptions o = r.best.options;
-      o.size_ratio = v;
-      return o;
-    }));
-    AIDB_RETURN_NOT_OK(
-        neighbors(blooms, r.best.options.bloom_bits_per_key, [&](size_t v) {
-          LsmOptions o = r.best.options;
-          o.bloom_bits_per_key = v;
-          return o;
-        }));
-    {
-      LsmOptions o = r.best.options;
-      o.leveling = !o.leveling;
-      AIDB_RETURN_NOT_OK(consider(o));
-    }
-    if (round_best.cost < r.best.cost - 1e-12) {
-      r.best = round_best;
-      improved = true;
-      ++r.steps;
-    }
-  }
+  AIDB_ASSIGN_OR_RETURN(design::LsmClimb climb, design::ClimbLsmDesign(start, cost));
+  r.start = seen.at(key(start));
+  r.best = seen.at(key(climb.options));
+  r.steps = climb.steps;
   r.model_cost = design::LsmCostModel().TotalCost(r.best.options, workload);
   return r;
 }

@@ -58,12 +58,11 @@ struct MeasuredTuneResult {
   double model_cost = 0.0;   ///< analytic TotalCost at `best` (validation)
 };
 
-/// Hill-climbs the same discrete lattice as LsmDesignTuner — memtable
-/// budget, size ratio, bloom bits, leveling/tiering — but scores each move
-/// with MeasureLsmDesign instead of the analytic model: the learned tuner of
-/// the storage tentpole, grounded in the engine's real counters. The
-/// analytic model's cost at the chosen design is reported alongside as the
-/// validation baseline.
+/// Runs the design climb of LsmDesignTuner (design::ClimbLsmDesign) but
+/// prices each design with MeasureLsmDesign instead of the analytic model:
+/// the learned tuner grounded in the engine's real counters. Designs are
+/// measured once each, at most 48 of them. The analytic model's cost at the
+/// chosen design is reported alongside as the validation baseline.
 Result<MeasuredTuneResult> TuneLsmOnMeasured(const design::LsmWorkload& workload,
                                              const StorageEnvOptions& env = {},
                                              const LsmOptions& start = {});

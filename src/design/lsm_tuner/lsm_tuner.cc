@@ -48,72 +48,76 @@ double LsmCostModel::MemoryCost(const LsmOptions& opts, const LsmWorkload& w) co
   return (bloom_bits / 8.0 + memtable) * 1e-5;
 }
 
-LsmDesignTuner::Result LsmDesignTuner::Tune(const LsmWorkload& workload,
-                                            const LsmOptions& start) const {
-  LsmCostModel model;
+Result<LsmClimb> ClimbLsmDesign(const LsmOptions& start,
+                                const LsmDesignCost& cost) {
   // Discrete design lattice per knob.
   const std::vector<size_t> memtables{512, 1024, 2048, 4096, 8192, 16384};
   const std::vector<size_t> ratios{2, 3, 4, 6, 8, 10, 16};
   const std::vector<size_t> blooms{0, 2, 4, 6, 8, 10, 12, 16};
 
-  Result r;
+  LsmClimb r;
   r.options = start;
-  r.model_cost = model.TotalCost(r.options, workload);
+  AIDB_ASSIGN_OR_RETURN(r.cost, cost(start));
 
-  // Steepest-descent over one-knob moves until no move improves (the
+  // Steepest descent over one-knob moves until no move improves (the
   // design-continuum "gradient" walk). The lattice is small enough that this
   // converges in a handful of steps.
   bool improved = true;
   while (improved) {
     improved = false;
     LsmOptions best = r.options;
-    double best_cost = r.model_cost;
-    auto consider = [&](LsmOptions cand) {
-      double c = model.TotalCost(cand, workload);
+    double best_cost = r.cost;
+    auto consider = [&](const LsmOptions& cand) -> Status {
+      AIDB_ASSIGN_OR_RETURN(double c, cost(cand));
       if (c < best_cost) {
         best_cost = c;
         best = cand;
       }
+      return Status::OK();
     };
-    auto neighbors = [&](const std::vector<size_t>& lattice, size_t cur,
-                         auto setter) {
+    auto neighbors = [&](const std::vector<size_t>& lattice,
+                         size_t LsmOptions::*knob) -> Status {
+      LsmOptions o = r.options;
       for (size_t i = 0; i < lattice.size(); ++i) {
-        if (lattice[i] == cur) {
-          if (i > 0) consider(setter(lattice[i - 1]));
-          if (i + 1 < lattice.size()) consider(setter(lattice[i + 1]));
-          return;
+        if (lattice[i] == o.*knob) {
+          if (i > 0) {
+            o.*knob = lattice[i - 1];
+            AIDB_RETURN_NOT_OK(consider(o));
+          }
+          if (i + 1 < lattice.size()) {
+            o.*knob = lattice[i + 1];
+            AIDB_RETURN_NOT_OK(consider(o));
+          }
+          return Status::OK();
         }
       }
-      consider(setter(lattice[lattice.size() / 2]));  // snap onto the lattice
+      o.*knob = lattice[lattice.size() / 2];  // snap onto the lattice
+      return consider(o);
     };
-    neighbors(memtables, r.options.memtable_capacity, [&](size_t v) {
-      LsmOptions o = r.options;
-      o.memtable_capacity = v;
-      return o;
-    });
-    neighbors(ratios, r.options.size_ratio, [&](size_t v) {
-      LsmOptions o = r.options;
-      o.size_ratio = v;
-      return o;
-    });
-    neighbors(blooms, r.options.bloom_bits_per_key, [&](size_t v) {
-      LsmOptions o = r.options;
-      o.bloom_bits_per_key = v;
-      return o;
-    });
-    {
-      LsmOptions o = r.options;
-      o.leveling = !o.leveling;
-      consider(o);
-    }
-    if (best_cost < r.model_cost - 1e-12) {
+    AIDB_RETURN_NOT_OK(neighbors(memtables, &LsmOptions::memtable_capacity));
+    AIDB_RETURN_NOT_OK(neighbors(ratios, &LsmOptions::size_ratio));
+    AIDB_RETURN_NOT_OK(neighbors(blooms, &LsmOptions::bloom_bits_per_key));
+    LsmOptions flipped = r.options;
+    flipped.leveling = !flipped.leveling;
+    AIDB_RETURN_NOT_OK(consider(flipped));
+    if (best_cost < r.cost - 1e-12) {
       r.options = best;
-      r.model_cost = best_cost;
+      r.cost = best_cost;
       improved = true;
       ++r.steps;
     }
   }
   return r;
+}
+
+LsmDesignTuner::Result LsmDesignTuner::Tune(const LsmWorkload& workload,
+                                            const LsmOptions& start) const {
+  const LsmCostModel model;
+  const LsmClimb c =
+      ClimbLsmDesign(start, [&](const LsmOptions& o) -> aidb::Result<double> {
+        return model.TotalCost(o, workload);
+      }).ValueOrDie();  // the analytic cost never fails
+  return {c.options, c.cost, c.steps};
 }
 
 }  // namespace aidb::design

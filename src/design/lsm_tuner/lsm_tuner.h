@@ -1,7 +1,8 @@
 #pragma once
 
-#include <string>
+#include <functional>
 
+#include "common/result.h"
 #include "storage/lsm.h"
 
 namespace aidb::design {
@@ -41,10 +42,28 @@ class LsmCostModel {
   static double BloomFalsePositiveRate(size_t bits_per_key);
 };
 
-/// \brief Self-designing tuner: hill-climbs the discrete design space
-/// (memtable budget, size ratio, bloom bits, leveling/tiering) along the
-/// cost model's steepest-descent direction — the paper's "tweak different
-/// knobs in one direction until reaching the cost boundary" procedure.
+/// Cost of one design point (lower is better); an error ends the climb.
+using LsmDesignCost = std::function<Result<double>(const LsmOptions&)>;
+
+/// Where a design climb stopped.
+struct LsmClimb {
+  LsmOptions options;
+  double cost = 0.0;  ///< `cost` at `options`
+  size_t steps = 0;   ///< accepted moves
+};
+
+/// \brief Hill-climbs the discrete design space (memtable budget, size
+/// ratio, bloom bits, leveling/tiering) from `start`: each round prices the
+/// one-knob moves — the lattice neighbours of each knob in that order (a
+/// value off the lattice snaps to its middle), then the policy flip — and
+/// takes the cheapest while it improves. This is the paper's "tweak
+/// different knobs in one direction until reaching the cost boundary"
+/// procedure; the analytic tuner and the measured one (advisor/knob/
+/// storage_env) differ only in `cost`.
+Result<LsmClimb> ClimbLsmDesign(const LsmOptions& start, const LsmDesignCost& cost);
+
+/// \brief Self-designing tuner: climbs the design lattice on the analytic
+/// cost model.
 class LsmDesignTuner {
  public:
   struct Result {
@@ -54,9 +73,6 @@ class LsmDesignTuner {
   };
 
   Result Tune(const LsmWorkload& workload, const LsmOptions& start = {}) const;
-
-  /// The shipped one-size-fits-all configuration (baseline for E10).
-  static LsmOptions DefaultDesign() { return LsmOptions{}; }
 };
 
 }  // namespace aidb::design

@@ -437,7 +437,8 @@ const VecColumn& VecExpr::EvalRef(const Batch& in, VecColumn* scratch) const {
   return *scratch;
 }
 
-bool VecExpr::MatchColCmpLit(int* col, sql::OpType* op, Value* lit) const {
+bool VecExpr::MatchColCmpLit(int* col, sql::OpType* op, Value* lit,
+                             bool* lit_first) const {
   if (kind_ != Kind::kBinary) return false;
   switch (op_) {
     case sql::OpType::kEq:
@@ -456,11 +457,13 @@ bool VecExpr::MatchColCmpLit(int* col, sql::OpType* op, Value* lit) const {
     *col = l.column_;
     *op = op_;
     *lit = r.literal_;
+    *lit_first = false;
     return true;
   }
   if (l.kind_ == Kind::kLiteral && r.kind_ == Kind::kColumn) {
     *col = r.column_;
     *lit = l.literal_;
+    *lit_first = true;
     switch (op_) {  // lit < col  ≡  col > lit, etc.
       case sql::OpType::kLt: *op = sql::OpType::kGt; break;
       case sql::OpType::kLe: *op = sql::OpType::kGe; break;

@@ -50,10 +50,11 @@ class VecExpr {
 
   /// Matches the `column <cmp> literal` shape (either operand order; the
   /// operator is flipped when the literal is on the left, so the caller
-  /// always sees column-on-the-left form). This is the fused-filter fast
-  /// path: comparisons cannot error, so a matching predicate can refine the
-  /// selection vector in one pass without materializing any column.
-  bool MatchColCmpLit(int* col, sql::OpType* op, Value* lit) const;
+  /// always sees column-on-the-left form, and *lit_first says it was). This
+  /// is the fused-filter fast path: comparisons cannot error, so a matching
+  /// predicate can refine the selection vector in one pass without
+  /// materializing any column.
+  bool MatchColCmpLit(int* col, sql::OpType* op, Value* lit, bool* lit_first) const;
 
  private:
   enum class Kind { kLiteral, kColumn, kBinary, kUnary, kPredict };

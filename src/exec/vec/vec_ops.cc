@@ -45,37 +45,63 @@ struct ScanSources {
 /// Such a filter cannot fail on a typed numeric column.
 struct FusedCmp {
   size_t col = 0;
-  sql::OpType op = sql::OpType::kEq;
+  sql::OpType op = sql::OpType::kEq;  ///< column-on-the-left form
   double x = 0.0;
+  /// Whether the filter as written passes a NaN. Value::Compare calls a NaN
+  /// greater than anything from either side, so `<>`, `>` and `>=` pass it
+  /// in the written order: `v > 5` and `5 > v` do, `v < 5` and `5 < v` do
+  /// not, though `5 > v` and `v < 5` share the column-left form.
+  bool nan_passes = false;
 };
 
 bool MatchFused(const VecExpr& f, FusedCmp* out) {
   int col = -1;
   Value lit;
-  if (!f.MatchColCmpLit(&col, &out->op, &lit)) return false;
+  bool lit_first = false;
+  if (!f.MatchColCmpLit(&col, &out->op, &lit, &lit_first)) return false;
   if (lit.type() != ValueType::kInt && lit.type() != ValueType::kDouble) {
     return false;
   }
   out->col = static_cast<size_t>(col);
   out->x = lit.AsDouble();
+  switch (out->op) {
+    case sql::OpType::kNe: out->nan_passes = true; break;
+    case sql::OpType::kGt:
+    case sql::OpType::kGe: out->nan_passes = !lit_first; break;
+    case sql::OpType::kLt:
+    case sql::OpType::kLe: out->nan_passes = lit_first; break;
+    default: out->nan_passes = false; break;
+  }
   return true;
 }
 
-/// Calls fn with `op`'s comparison against x, a functor over doubles; false
-/// when op is no comparison. The fused compare runs in double space, as
-/// Value::Compare does, in the slot-list and the batch kernels alike.
-/// Known mismatch with the volcano engine, not intended: a NaN passes only
-/// <> here, but Value::Compare calls a NaN operand greater from either side,
-/// so volcano also passes it under `col > x`, `col >= x` and `x > col`.
+/// Calls fn with f's comparison against f.x, a functor over doubles; false
+/// when f.op is no comparison. The fused compare runs in double space, as
+/// Value::Compare does, in the slot-list and the batch kernels alike, and
+/// agrees with it on NaN: where the written form passes a NaN, an order
+/// comparison runs as its negated complement (`!(a >= x)` for `<`), equal
+/// to it on every other value. INT columns hold no NaN.
 template <typename Fn>
-bool WithCompare(sql::OpType op, double x, Fn&& fn) {
-  switch (op) {
+bool WithCompare(const FusedCmp& f, Fn&& fn) {
+  const double x = f.x;
+  auto order = [&](auto plain, auto nan_passing) {
+    f.nan_passes ? fn(nan_passing) : fn(plain);
+  };
+  switch (f.op) {
     case sql::OpType::kEq: fn([x](double a) { return a == x; }); return true;
     case sql::OpType::kNe: fn([x](double a) { return a != x; }); return true;
-    case sql::OpType::kLt: fn([x](double a) { return a < x; }); return true;
-    case sql::OpType::kLe: fn([x](double a) { return a <= x; }); return true;
-    case sql::OpType::kGt: fn([x](double a) { return a > x; }); return true;
-    case sql::OpType::kGe: fn([x](double a) { return a >= x; }); return true;
+    case sql::OpType::kLt:
+      order([x](double a) { return a < x; }, [x](double a) { return !(a >= x); });
+      return true;
+    case sql::OpType::kLe:
+      order([x](double a) { return a <= x; }, [x](double a) { return !(a > x); });
+      return true;
+    case sql::OpType::kGt:
+      order([x](double a) { return a > x; }, [x](double a) { return !(a <= x); });
+      return true;
+    case sql::OpType::kGe:
+      order([x](double a) { return a >= x; }, [x](double a) { return !(a < x); });
+      return true;
     default: return false;
   }
 }
@@ -95,7 +121,7 @@ size_t RefineSlots(const VecColumn& m, const FusedCmp& f, RowId* ids,
       k += valid[r] & cmp(static_cast<double>(v[r]));
     }
   };
-  WithCompare(f.op, f.x, [&](auto cmp) {
+  WithCompare(f, [&](auto cmp) {
     if (m.kind == VecColumn::Kind::kInt) {
       refine(m.ints.data(), cmp);
     } else {
@@ -167,7 +193,7 @@ bool TryFusedCompare(const VecExpr& f, Batch* b,
       if (valid[r] && cmp(static_cast<double>(v[r]))) kept.push_back(r);
     }
   };
-  if (!WithCompare(m.op, m.x, [&](auto cmp) {
+  if (!WithCompare(m, [&](auto cmp) {
         if (is_int) {
           refine(c.ints.data(), cmp);
         } else {

@@ -449,8 +449,8 @@ Status LsmEngine::FlushLocked(TableState* st, bool force) {
 }
 
 Status LsmEngine::CompactLocked(TableState* st) {
-  // Mirror of the toy tree's policy: per level, leveling triggers at 2 runs
-  // and absorbs the level below; tiering triggers at size_ratio runs.
+  // Per level, leveling triggers at 2 runs and absorbs the level below;
+  // tiering triggers at size_ratio runs.
   const size_t trigger = opts_.leveling ? 2 : std::max<size_t>(2, opts_.size_ratio);
   bool progress = true;
   while (progress) {
@@ -519,9 +519,10 @@ Status LsmEngine::CompactLocked(TableState* st) {
       if (m_sst_bytes_ != nullptr) m_sst_bytes_->Add(wres.bytes);
     }
 
-    if (out_run != nullptr) keep->push_back(out_run);
-    // Newest-first within a level is preserved by the stable sort; deeper
-    // levels hold strictly older data.
+    // The merged run is newer than every run already at level + 1 (tiering
+    // keeps those), so it goes first: the stable sort then keeps each level
+    // newest-first, and deeper levels hold strictly older data.
+    if (out_run != nullptr) keep->insert(keep->begin(), out_run);
     std::stable_sort(keep->begin(), keep->end(),
                      [](const std::shared_ptr<SstRun>& a,
                         const std::shared_ptr<SstRun>& b) {

@@ -78,9 +78,8 @@ class LsmEngine final : public StorageEngine {
   /// orphans) were found. Call once after recovery attach.
   Status GarbageCollect();
 
-  /// Aggregate I/O counters in the same accounting scheme as the toy
-  /// LsmTree, so measured write/read amplification is directly comparable to
-  /// the analytic cost model.
+  /// Aggregate I/O counters (LsmStats accounting), so measured write/read
+  /// amplification is directly comparable to the analytic cost model.
   LsmStats StatsSnapshot() const;
 
   const LsmOptions& options() const { return opts_; }

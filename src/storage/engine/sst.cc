@@ -21,7 +21,7 @@ constexpr char kTrailerMagic[8] = {'A', 'I', 'D', 'B', 'S', 'S', 'T', 'F'};
 constexpr size_t kTrailerSize = 8 + sizeof(kTrailerMagic);  // footer offset + magic
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Same mixer as the toy LSM tree's bloom (three salted probes).
+/// Bloom probe hash: a 64-bit mixer over the slot id, three salted probes.
 uint64_t BloomHash(uint64_t key, uint64_t salt) {
   uint64_t x = key * 0x9E3779B97F4A7C15ULL + salt;
   x ^= x >> 33;
@@ -108,7 +108,8 @@ Status SimulateCrash(int fd, const std::string& buf, FaultKind kind,
 
 /// Per-column zone bounds over one block of entries. Bounds are widened one
 /// ulp outward so a lossy int64 -> double cast can never exclude a real key;
-/// NULL or string values poison the column to [-inf, +inf].
+/// NULL, string or NaN values poison the column to [-inf, +inf] (a NaN
+/// passes `v > x` for every x, and min/max would skip it).
 std::vector<std::pair<double, double>> ComputeZones(
     const std::vector<SstEntry>& entries, size_t lo, size_t hi, size_t ncols) {
   std::vector<std::pair<double, double>> zones(ncols, {kInf, -kInf});
@@ -117,7 +118,7 @@ std::vector<std::pair<double, double>> ComputeZones(
     const Tuple& row = *entries[i].row;
     for (size_t c = 0; c < ncols && c < row.size(); ++c) {
       const Value& v = row[c];
-      if (v.is_null() || v.type() == ValueType::kString) {
+      if (v.is_null() || v.type() == ValueType::kString || std::isnan(v.AsDouble())) {
         poisoned[c] = true;
         continue;
       }

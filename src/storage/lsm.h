@@ -1,36 +1,31 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <optional>
-#include <string>
-#include <vector>
 
 namespace aidb {
 
-/// Tunable design knobs of the LSM tree — the "design continuum" axes the
-/// learned data-structure tuner (E10) searches over.
+/// Tunable design knobs of the LSM storage engine (storage/engine/lsm_engine)
+/// — the "design continuum" axes the design tuners (design/lsm_tuner and
+/// advisor/knob/storage_env; E10, E10b) search over.
 struct LsmOptions {
-  size_t memtable_capacity = 4096;  ///< entries before flush
+  size_t memtable_capacity = 4096;  ///< frozen slots collected per flush
   size_t size_ratio = 4;            ///< level growth factor T
   size_t bloom_bits_per_key = 8;    ///< 0 disables bloom filters
   bool leveling = true;             ///< leveling (read-opt) vs tiering (write-opt)
 };
 
-/// I/O counters used by both the measured benchmark and the tuner's analytic
-/// cost model validation. Shared between the toy in-memory LsmTree and the
-/// real disk backend (storage/engine/lsm_engine): both account
-/// entries_written per ingested entry and entries_compacted per entry
-/// rewritten by flush *and* compaction, so their amplification figures are
-/// directly comparable to the analytic model's predictions.
+/// I/O counters of the LSM storage engine, read by the measured design tuner
+/// and the benchmarks. entries_written counts each paged-out slot once and
+/// entries_compacted each entry rewritten by a flush *and* by compaction, so
+/// the amplification figures are directly comparable to the analytic cost
+/// model's predictions (design/lsm_tuner).
 struct LsmStats {
-  uint64_t entries_written = 0;       ///< user puts / paged-out slots
+  uint64_t entries_written = 0;       ///< slots paged out
   uint64_t entries_compacted = 0;     ///< entries rewritten by flush/compaction
-  uint64_t runs_probed = 0;           ///< sorted runs touched by gets
+  uint64_t runs_probed = 0;           ///< sorted runs touched by cold gets
   uint64_t bloom_negatives = 0;       ///< probes skipped by bloom filters
   uint64_t gets = 0;
-
-  // Real-backend extras (stay zero for the toy tree).
   uint64_t flushes = 0;               ///< immutable-run flushes
   uint64_t compactions = 0;           ///< merge passes
   uint64_t blocks_written = 0;        ///< SST data blocks persisted
@@ -51,53 +46,6 @@ struct LsmStats {
   double ReadAmplification() const {
     return gets ? static_cast<double>(runs_probed) / static_cast<double>(gets) : 0.0;
   }
-};
-
-/// \brief In-memory LSM-tree key-value store (memtable + sorted runs with
-/// per-run bloom filters; leveling or tiering merge policy).
-///
-/// This is the substrate for the survey's "learned KV store design" leaf:
-/// the tuner moves LsmOptions knobs along the design continuum and this
-/// engine measures the consequences.
-class LsmTree {
- public:
-  explicit LsmTree(const LsmOptions& opts = {});
-
-  void Put(int64_t key, std::string value);
-  void Delete(int64_t key);
-  std::optional<std::string> Get(int64_t key);
-
-  /// Ordered key-value pairs with key in [lo, hi]; latest version wins.
-  std::vector<std::pair<int64_t, std::string>> RangeScan(int64_t lo, int64_t hi);
-
-  const LsmStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = LsmStats{}; }
-  const LsmOptions& options() const { return opts_; }
-  size_t NumRuns() const;
-  /// Total live + obsolete entries held in runs.
-  size_t TotalEntries() const;
-
- private:
-  struct Run {
-    std::vector<std::pair<int64_t, std::string>> entries;  // key-sorted
-    std::vector<uint64_t> bloom;                           // bit set
-    size_t level = 0;
-
-    bool MaybeContains(int64_t key, size_t bits_per_key) const;
-  };
-
-  static constexpr std::string_view kTombstone = "\x01__tombstone__";
-
-  void FlushMemtable();
-  void MaybeCompact();
-  Run BuildRun(std::vector<std::pair<int64_t, std::string>> entries, size_t level) const;
-  static void AddToBloom(std::vector<uint64_t>* bloom, int64_t key);
-  static bool BloomTest(const std::vector<uint64_t>& bloom, int64_t key);
-
-  LsmOptions opts_;
-  std::map<int64_t, std::string> memtable_;
-  std::vector<Run> runs_;  // newest first
-  LsmStats stats_;
 };
 
 }  // namespace aidb

@@ -50,6 +50,13 @@ bool KindLogsTxn(sql::StatementKind kind, size_t affected) {
   }
 }
 
+/// Makes `opts` LSM-backed with the fuzz legs' design: an 8-slot memtable,
+/// so rows page out beneath even the generator's small tables.
+void EnableFuzzLsm(DurabilityOptions* opts) {
+  opts->lsm = true;
+  opts->lsm_design.memtable_capacity = 8;
+}
+
 DurabilityOptions DurableOpts(storage::FaultInjector* fault) {
   DurabilityOptions opts;
   opts.wal_flush_interval = 1;  // flush per record: maximal injection surface
@@ -59,8 +66,7 @@ DurabilityOptions DurableOpts(storage::FaultInjector* fault) {
   if (LsmFuzzDefault()) {
     // Every durable leg runs LSM-backed: rows page out beneath the workload
     // and the fault surface extends over SST/manifest/compaction writes.
-    opts.lsm = true;
-    opts.lsm_design.memtable_capacity = 8;
+    EnableFuzzLsm(&opts);
   }
   return opts;
 }
@@ -160,8 +166,7 @@ WorkloadTrace RunWorkloadLsm(const std::vector<std::string>& workload,
   opts.sync = false;
   opts.wal_flush_interval = 16;
   opts.checkpoint_every_n_records = 0;
-  opts.lsm = true;
-  opts.lsm_design.memtable_capacity = 8;
+  EnableFuzzLsm(&opts);
   auto opened = Database::Open(dir, opts);
   if (!opened.ok()) {
     // Surfaces as a guaranteed divergence at statement 0.
@@ -311,10 +316,7 @@ Divergence RunCrashRecoveryLeg(const std::vector<std::string>& workload,
     // Reopening in LSM mode re-adopts the persisted runs, so the digest also
     // checks adoption did not resurrect or lose anything.
     DurabilityOptions copts;
-    if (LsmFuzzDefault()) {
-      copts.lsm = true;
-      copts.lsm_design.memtable_capacity = 8;
-    }
+    if (LsmFuzzDefault()) EnableFuzzLsm(&copts);
     auto reopened = Database::Open(dir, copts);
     if (!reopened.ok()) {
       Divergence d;
@@ -342,8 +344,7 @@ Divergence RunCrashRecoveryLeg(const std::vector<std::string>& workload,
     // Recover in LSM mode too: adoption must cope with whatever the crash
     // left behind (half-written runs are rejected, orphans re-adopted), and
     // the replayed tail then reads through the cold tier.
-    ropts.lsm = true;
-    ropts.lsm_design.memtable_capacity = 8;
+    EnableFuzzLsm(&ropts);
   }
   auto reopened = Database::Open(dir, ropts);
   if (!reopened.ok()) {
@@ -496,8 +497,7 @@ Divergence RunConcurrentTxnLeg(uint64_t seed, size_t num_sessions,
     opts.sync = false;
     opts.wal_flush_interval = 16;
     opts.checkpoint_every_n_records = 0;
-    opts.lsm = true;
-    opts.lsm_design.memtable_capacity = 8;
+    EnableFuzzLsm(&opts);
     auto opened = Database::Open(lsm_dir, opts);
     if (!opened.ok()) {
       Divergence d;

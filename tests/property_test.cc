@@ -4,10 +4,13 @@
 // queries; estimator and rewriter invariants are swept across seeds.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <map>
 #include <ostream>
 #include <set>
+#include <string>
 
 #include "advisor/rewrite/rewriter.h"
 #include "catalog/stats.h"
@@ -16,7 +19,7 @@
 #include "design/learned_index/rmi.h"
 #include "exec/database.h"
 #include "storage/btree.h"
-#include "storage/lsm.h"
+#include "storage/engine/lsm_engine.h"
 
 namespace aidb {
 namespace {
@@ -82,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(
                       KeyDistParam{"zipf_heavy", 10000, 1.2}),
     [](const auto& info) { return info.param.name; });
 
-// ----- LSM vs std::map across option grid -----
+// ----- The LSM storage engine vs std::map across its design grid -----
 
 struct LsmParam {
   const char* name;
@@ -96,59 +99,79 @@ void PrintTo(const LsmParam& p, std::ostream* os) { *os << p.name; }
 
 class LsmProperty : public ::testing::TestWithParam<LsmParam> {};
 
+/// Random upserts and deletes through SQL on a durable LSM-backed database,
+/// with cold-storage maintenance every 20 statements, so reads resolve
+/// through flushed, compacted and overlapping runs of each design.
 TEST_P(LsmProperty, MatchesMapModel) {
   const auto& p = GetParam();
-  LsmOptions opts;
-  opts.memtable_capacity = p.memtable;
-  opts.size_ratio = p.ratio;
-  opts.bloom_bits_per_key = p.bloom;
-  opts.leveling = p.leveling;
-  LsmTree lsm(opts);
+  DurabilityOptions opts;
+  opts.sync = false;
+  opts.lsm = true;
+  opts.lsm_design.memtable_capacity = p.memtable;
+  opts.lsm_design.size_ratio = p.ratio;
+  opts.lsm_design.bloom_bits_per_key = p.bloom;
+  opts.lsm_design.leveling = p.leveling;
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           (std::string("aidb_lsm_prop_") + p.name + "_" +
+                            std::to_string(::getpid())))
+                              .string();
+  std::filesystem::remove_all(dir);
+  auto db = Database::Open(dir, opts).ValueOrDie();
+  auto exec = [&](const std::string& sql) {
+    auto r = db->Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    return r.ok() ? std::move(r).ValueOrDie() : QueryResult{};
+  };
+  exec("CREATE TABLE kv (k INT, v STRING)");
+  exec("CREATE INDEX kv_k ON kv(k)");
   std::map<int64_t, std::string> model;
-  Rng rng(202);
-  for (int i = 0; i < 15000; ++i) {
-    int64_t k = rng.UniformInt(0, 1500);
-    switch (rng.Uniform(4)) {
-      case 0: {  // delete
-        lsm.Delete(k);
-        model.erase(k);
-        break;
-      }
-      default: {
-        std::string v = "v" + std::to_string(i);
-        lsm.Put(k, v);
-        model[k] = v;
-        break;
-      }
-    }
-    if (i % 500 == 0) {
-      int64_t probe = rng.UniformInt(0, 1500);
-      auto got = lsm.Get(probe);
-      auto it = model.find(probe);
-      ASSERT_EQ(got.has_value(), it != model.end()) << probe;
-      if (got) EXPECT_EQ(*got, it->second);
-    }
-  }
-  // Final full sweep + range scan equivalence.
-  for (int64_t k = 0; k <= 1500; k += 13) {
-    auto got = lsm.Get(k);
+  auto expect_get = [&](int64_t k) {
+    auto rows = exec("SELECT v FROM kv WHERE k = " + std::to_string(k)).rows;
     auto it = model.find(k);
-    ASSERT_EQ(got.has_value(), it != model.end()) << k;
+    ASSERT_EQ(rows.size(), it == model.end() ? 0u : 1u) << k;
+    if (it != model.end()) {
+      EXPECT_EQ(rows[0][0].AsString(), it->second) << k;
+    }
+  };
+  Rng rng(202);
+  for (int i = 0; i < 600; ++i) {
+    const int64_t k = rng.UniformInt(0, 300);
+    const std::string ks = std::to_string(k);
+    if (rng.Uniform(4) == 0) {
+      exec("DELETE FROM kv WHERE k = " + ks);
+      model.erase(k);
+    } else {
+      const std::string v = "v" + std::to_string(i);
+      exec(model.count(k) ? "UPDATE kv SET v = '" + v + "' WHERE k = " + ks
+                          : "INSERT INTO kv VALUES (" + ks + ", '" + v + "')");
+      model[k] = v;
+    }
+    if (i % 20 == 19) {
+      ASSERT_TRUE(db->FlushColdStorage(/*force=*/i % 60 == 59).ok());
+    }
+    if (i % 50 == 0) expect_get(rng.UniformInt(0, 300));
   }
-  auto scan = lsm.RangeScan(100, 600);
+  ASSERT_TRUE(db->FlushColdStorage().ok());
+  EXPECT_GT(db->lsm_engine()->StatsSnapshot().flushes, 1u);
+  // Final point sweep + range scan equivalence.
+  for (int64_t k = 0; k <= 300; k += 3) expect_get(k);
+  auto scan = exec("SELECT COUNT(*) FROM kv WHERE k >= 50 AND k <= 200").rows;
   size_t expect = 0;
-  for (auto it = model.lower_bound(100); it != model.end() && it->first <= 600; ++it)
+  for (auto it = model.lower_bound(50); it != model.end() && it->first <= 200; ++it)
     ++expect;
-  EXPECT_EQ(scan.size(), expect);
+  ASSERT_EQ(scan.size(), 1u);
+  EXPECT_EQ(scan[0][0].AsInt(), static_cast<int64_t>(expect));
+  db.reset();
+  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Designs, LsmProperty,
-    ::testing::Values(LsmParam{"tiny_leveling", 64, 2, 8, true},
-                      LsmParam{"tiny_tiering", 64, 4, 8, false},
-                      LsmParam{"no_bloom", 256, 4, 0, true},
-                      LsmParam{"big_ratio", 128, 10, 10, false},
-                      LsmParam{"default_ish", 1024, 4, 8, true}),
+    ::testing::Values(LsmParam{"tiny_leveling", 16, 2, 8, true},
+                      LsmParam{"tiny_tiering", 16, 4, 8, false},
+                      LsmParam{"no_bloom", 64, 4, 0, true},
+                      LsmParam{"big_ratio", 32, 10, 10, false},
+                      LsmParam{"default_ish", 256, 4, 8, true}),
     [](const auto& info) { return info.param.name; });
 
 // ----- Learned indexes vs sorted-array truth across distributions -----

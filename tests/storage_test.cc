@@ -1,11 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "common/rng.h"
 #include "storage/btree.h"
 #include "storage/hash_index.h"
-#include "storage/lsm.h"
 #include "storage/table.h"
 #include "storage/value.h"
 
@@ -147,102 +144,6 @@ TEST(HashIndexTest, InsertFindErase) {
   idx.Erase(Value(int64_t{1}), 10);
   EXPECT_EQ(idx.Find(Value(int64_t{1}))->size(), 1u);
   EXPECT_EQ(idx.Find(Value(int64_t{99})), nullptr);
-}
-
-TEST(LsmTest, PutGetOverwrite) {
-  LsmTree lsm;
-  lsm.Put(1, "a");
-  lsm.Put(2, "b");
-  lsm.Put(1, "a2");
-  EXPECT_EQ(lsm.Get(1).value(), "a2");
-  EXPECT_EQ(lsm.Get(2).value(), "b");
-  EXPECT_FALSE(lsm.Get(3).has_value());
-}
-
-TEST(LsmTest, DeleteTombstones) {
-  LsmOptions opts;
-  opts.memtable_capacity = 8;  // force flushes
-  LsmTree lsm(opts);
-  for (int64_t k = 0; k < 100; ++k) lsm.Put(k, "v" + std::to_string(k));
-  lsm.Delete(50);
-  EXPECT_FALSE(lsm.Get(50).has_value());
-  EXPECT_TRUE(lsm.Get(51).has_value());
-}
-
-TEST(LsmTest, SurvivesManyFlushesAndCompactions) {
-  LsmOptions opts;
-  opts.memtable_capacity = 64;
-  opts.size_ratio = 3;
-  LsmTree lsm(opts);
-  Rng rng(6);
-  std::map<int64_t, std::string> model;
-  for (int i = 0; i < 20000; ++i) {
-    int64_t k = rng.UniformInt(0, 2000);
-    std::string v = "v" + std::to_string(i);
-    lsm.Put(k, v);
-    model[k] = v;
-  }
-  for (auto& [k, v] : model) {
-    auto got = lsm.Get(k);
-    ASSERT_TRUE(got.has_value()) << k;
-    EXPECT_EQ(*got, v) << k;
-  }
-}
-
-TEST(LsmTest, RangeScanMergesVersions) {
-  LsmOptions opts;
-  opts.memtable_capacity = 16;
-  LsmTree lsm(opts);
-  for (int64_t k = 0; k < 200; ++k) lsm.Put(k, "old");
-  for (int64_t k = 50; k < 100; ++k) lsm.Put(k, "new");
-  lsm.Delete(60);
-  auto out = lsm.RangeScan(50, 69);
-  EXPECT_EQ(out.size(), 19u);  // 20 keys minus deleted 60
-  for (auto& [k, v] : out) {
-    EXPECT_NE(k, 60);
-    EXPECT_EQ(v, "new");
-  }
-}
-
-TEST(LsmTest, TieringWritesLessThanLeveling) {
-  // Tiering should exhibit lower write amplification on a write-heavy load.
-  LsmOptions level_opts;
-  level_opts.memtable_capacity = 128;
-  level_opts.leveling = true;
-  LsmOptions tier_opts = level_opts;
-  tier_opts.leveling = false;
-
-  LsmTree leveled(level_opts), tiered(tier_opts);
-  Rng rng(7);
-  for (int i = 0; i < 30000; ++i) {
-    int64_t k = rng.UniformInt(0, 1000000);
-    leveled.Put(k, "x");
-    tiered.Put(k, "x");
-  }
-  EXPECT_LT(tiered.stats().WriteAmplification(),
-            leveled.stats().WriteAmplification());
-}
-
-TEST(LsmTest, BloomFiltersCutProbes) {
-  LsmOptions with_bloom;
-  with_bloom.memtable_capacity = 128;
-  with_bloom.bloom_bits_per_key = 10;
-  LsmOptions no_bloom = with_bloom;
-  no_bloom.bloom_bits_per_key = 0;
-
-  LsmTree a(with_bloom), b(no_bloom);
-  for (int64_t k = 0; k < 10000; ++k) {
-    a.Put(k, "x");
-    b.Put(k, "x");
-  }
-  a.ResetStats();
-  b.ResetStats();
-  // Probe keys that do not exist.
-  for (int64_t k = 100000; k < 101000; ++k) {
-    a.Get(k);
-    b.Get(k);
-  }
-  EXPECT_LT(a.stats().ReadAmplification(), b.stats().ReadAmplification());
 }
 
 }  // namespace

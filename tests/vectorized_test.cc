@@ -219,6 +219,18 @@ TEST_F(VectorizedExecTest, KleeneLogicOnNullsMatchesRowEngine) {
   ExpectSameResultsAtDops("SELECT id, v FROM nt WHERE v < 500");
   ExpectSameResultsAtDops("SELECT id FROM nt WHERE v < 500 AND v <> 3");
   ExpectSameResultsAtDops("SELECT COUNT(*), SUM(v) FROM nt WHERE v <> 999");
+  // Every order form, column on either side. Value::Compare calls a NaN
+  // greater from either side, so a NaN passes `v > 500`, `v >= 500`,
+  // `500 > v` and `500 >= v`, and none of the other four. nt refines the
+  // mirrored slot list; snt, below ColumnCache::kMinSlots, has no mirror and
+  // takes the batch kernel.
+  SeedNaNTable("snt", 3000);
+  for (const char* table : {"nt", "snt"}) {
+    for (const char* pred : {"v < 500", "v <= 500", "v > 500", "v >= 500", "500 < v",
+                             "500 <= v", "500 > v", "500 >= v"}) {
+      ExpectSameResultsAtDops(std::string("SELECT id FROM ") + table + " WHERE " + pred);
+    }
+  }
 }
 
 TEST_F(VectorizedExecTest, AggregationMatchesRowEngine) {
